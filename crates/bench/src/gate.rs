@@ -222,6 +222,8 @@ pub const SCHEMAS: &[BenchSchema] = &[
             r("data.overheads[*].disabled_over_plain", Expect::NumPos),
             r("data.overheads[*].full_over_plain", Expect::NumPos),
             r("data.overheads[*].attrib_over_plain", Expect::NumPos),
+            // Exact: observed runs must keep the block-batch fast path.
+            r("data.overheads[*].observed_batched_instr_pct", Expect::NumPos),
             r("data.timings.results", Expect::ArrLen(8)),
             r("data.timings.results[*].median_ns", Expect::NumPos),
         ],

@@ -9,10 +9,14 @@
 //!    full-recorder and attribution-on runs of a representative kernel on
 //!    each machine; serial, for timing fidelity. The attribution column is
 //!    additionally bounded by a hard ceiling ([`ATTRIB_CEILING`]).
+//! 3. **Fast-path engagement** — the `imo_cpu::speed` counter deltas over
+//!    each machine's observed runs, published as the exact
+//!    `observed_batched_instr_pct`: observation must not switch off block
+//!    batching, so this reads the same nonzero share as a plain run.
 
 use imo_coherence::{simulate_baseline, simulate_observed, MachineParams, Scheme};
 use imo_core::Machine;
-use imo_cpu::{inorder, ooo, InOrderConfig, OooConfig, RunLimits};
+use imo_cpu::speed::{speed_stats, SpeedStats};
 use imo_faults::FaultPlan;
 use imo_obs::Recorder;
 use imo_util::json::Json;
@@ -27,6 +31,9 @@ use crate::sweep::SweepSpec;
 /// streaming analyzer is O(log window) per access, so anything past this
 /// is a real regression, not host noise.
 pub const ATTRIB_CEILING: f64 = 10.0;
+
+/// Builds a fresh recorder for one observed run on a machine.
+type MakeRecorder = fn(&Machine) -> Recorder;
 
 /// A disabled recorder with the miss-attribution analyzer attached —
 /// the `why_miss` configuration.
@@ -44,6 +51,9 @@ pub struct Output {
     pub coh_mismatches: Vec<String>,
     /// The host-time bench runner.
     pub bench: Bench,
+    /// Fast-path counters over each machine's serial observed runs, keyed
+    /// by the machine's timing-id prefix.
+    pub observed_fast: Vec<(&'static str, SpeedStats)>,
 }
 
 /// Checks one workload on both machines under both recorder modes,
@@ -96,56 +106,33 @@ pub fn compute() -> Output {
         .flatten()
         .collect();
 
-    // 2. Host-time overhead on a representative kernel per machine (serial).
+    // 2. Host-time overhead on a representative kernel per machine (serial),
+    // 3. with the fast-path counters read around the observed runs.
     let mut b = Bench::new("obs_overhead");
     let p = (spec::by_name("compress").expect("compress exists").build)(Scale::Test);
-    b.bench_sampled("ooo/plain", 5, || {
-        ooo::simulate(&p, &OooConfig::paper(), RunLimits::default()).expect("runs")
-    });
-    b.bench_sampled("ooo/disabled_recorder", 5, || {
-        let mut rec = Recorder::disabled();
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("ooo/full_recorder", 5, || {
-        let mut rec = Recorder::all();
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("ooo/attrib_recorder", 5, || {
-        let mut rec = attrib_recorder(&Machine::default_ooo());
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("inorder/plain", 5, || {
-        inorder::simulate(&p, &InOrderConfig::paper(), RunLimits::default()).expect("runs")
-    });
-    b.bench_sampled("inorder/disabled_recorder", 5, || {
-        let mut rec = Recorder::disabled();
-        inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("inorder/full_recorder", 5, || {
-        let mut rec = Recorder::all();
-        inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("inorder/attrib_recorder", 5, || {
-        let mut rec = attrib_recorder(&Machine::default_in_order());
-        inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
+    let mut observed_fast = Vec::new();
+    for (m, tag) in [(Machine::default_ooo(), "ooo"), (Machine::default_in_order(), "inorder")] {
+        b.bench_sampled(&format!("{tag}/plain"), 5, || m.run(&p).expect("runs"));
+        let before = speed_stats();
+        let recorders: [(&str, MakeRecorder); 3] = [
+            ("disabled_recorder", |_| Recorder::disabled()),
+            ("full_recorder", |_| Recorder::all()),
+            ("attrib_recorder", attrib_recorder),
+        ];
+        for (label, make) in recorders {
+            b.bench_sampled(&format!("{tag}/{label}"), 5, || {
+                m.run_observed(&p, &mut make(&m)).expect("runs").0
+            });
+        }
+        observed_fast.push((tag, speed_stats().since(before)));
+    }
 
-    Output { cpu_mismatches, coh_mismatches, bench: b }
+    Output { cpu_mismatches, coh_mismatches, bench: b, observed_fast }
 }
 
-fn overheads(out: &Output) -> Vec<(String, f64, f64, f64)> {
+/// Per machine: disabled, full and attribution-on over plain, and the
+/// batched-instruction share of the observed runs.
+fn overheads(out: &Output) -> Vec<(String, f64, f64, f64, f64)> {
     let median = |id: &str| -> f64 {
         out.bench.results().iter().find(|r| r.id == id).map_or(0.0, |r| r.median_ns)
     };
@@ -157,14 +144,15 @@ fn overheads(out: &Output) -> Vec<(String, f64, f64, f64)> {
             median(num) / d
         }
     };
-    ["ooo", "inorder"]
+    out.observed_fast
         .iter()
-        .map(|m| {
+        .map(|(m, fast)| {
             (
                 (*m).to_string(),
                 ratio(&format!("{m}/disabled_recorder"), &format!("{m}/plain")),
                 ratio(&format!("{m}/full_recorder"), &format!("{m}/plain")),
                 ratio(&format!("{m}/attrib_recorder"), &format!("{m}/plain")),
+                fast.batched_instr_pct(),
             )
         })
         .collect()
@@ -176,13 +164,14 @@ pub fn payload(out: &Output) -> Json {
     let identical = out.cpu_mismatches.is_empty();
     let coh_identical = out.coh_mismatches.is_empty();
     let within_ceiling =
-        overheads(out).iter().all(|&(_, _, _, attrib)| attrib > 0.0 && attrib <= ATTRIB_CEILING);
-    let rows = overheads(out).into_iter().map(|(m, disabled, full, attrib)| {
+        overheads(out).iter().all(|&(_, _, _, attrib, _)| attrib > 0.0 && attrib <= ATTRIB_CEILING);
+    let rows = overheads(out).into_iter().map(|(m, disabled, full, attrib, batched)| {
         Json::obj([
             ("machine", Json::from(m)),
             ("disabled_over_plain", Json::from(disabled)),
             ("full_over_plain", Json::from(full)),
             ("attrib_over_plain", Json::from(attrib)),
+            ("observed_batched_instr_pct", Json::from(batched)),
         ])
     });
     Json::obj([
@@ -215,13 +204,25 @@ pub fn print(out: &Output) {
     println!("identity: all workloads x machines bit-identical under the recorder\n");
 
     print!("{}", out.bench.render());
-    let mut t = Table::new(["machine", "disabled / plain", "full / plain", "attrib / plain"]);
-    for (m, disabled, full, attrib) in overheads(out) {
+    let mut t = Table::new([
+        "machine",
+        "disabled / plain",
+        "full / plain",
+        "attrib / plain",
+        "observed batched",
+    ]);
+    for (m, disabled, full, attrib, batched) in overheads(out) {
         assert!(
             attrib > 0.0 && attrib <= ATTRIB_CEILING,
             "{m}: attribution overhead {attrib:.3}x exceeds the {ATTRIB_CEILING}x ceiling"
         );
-        t.row([m, format!("{disabled:.3}x"), format!("{full:.3}x"), format!("{attrib:.3}x")]);
+        t.row([
+            m,
+            format!("{disabled:.3}x"),
+            format!("{full:.3}x"),
+            format!("{attrib:.3}x"),
+            format!("{batched:.1}%"),
+        ]);
     }
     println!();
     print!("{}", t.render());

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use imo_core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
-use imo_cpu::speed::{speed_stats, SpeedStats};
+use imo_cpu::speed::speed_stats;
 use imo_cpu::{RunLimits, RunResult};
 use imo_util::json::Json;
 use imo_workloads::{by_name, Scale};
@@ -166,15 +166,9 @@ pub fn compute() -> Output {
             let p = &inst.program;
             let before = speed_stats();
             let event = machine.run_limited(p, RunLimits::default()).expect("event run");
-            let after = speed_stats();
             // Fast-path coverage counters for exactly this event run (the
             // globals keep accumulating across the timed samples below).
-            let fast = SpeedStats {
-                groups: after.groups - before.groups,
-                block_groups: after.block_groups - before.block_groups,
-                plain_instrs: after.plain_instrs - before.plain_instrs,
-                instrs: after.instrs - before.instrs,
-            };
+            let fast = speed_stats().since(before);
             let tick = machine.run_limited(p, RunLimits::tick_accurate()).expect("tick run");
             let identical = event == tick;
             assert!(

@@ -17,7 +17,7 @@ use imo_faults::HandlerFaults;
 use imo_isa::exec::{ArchState, ControlFlow, ExecError, Executor, MissDepth, MissOracle};
 use imo_isa::{BlockCache, Instr, Program};
 use imo_mem::{HitLevel, MemoryHierarchy, ProbeResult};
-use imo_obs::{EventKind, Recorder};
+use imo_obs::{EventKind, Observer};
 use imo_util::json::Json;
 use imo_util::snapshot::{self, Snapshot, SnapshotError};
 
@@ -465,256 +465,79 @@ impl<'p> FrontEnd<'p> {
         })
     }
 
-    /// Fetches up to `width` instructions at `cycle`, appending to `out`.
+    /// Fetches up to `width` instructions at `cycle`, appending to `out`,
+    /// one instruction at a time.
     ///
-    /// Pass an event recorder through `obs` to stream fetch, cache-outcome,
-    /// trap-entry and handler-fault events; `None` records nothing and is
-    /// bit-identical to an unobserved run.
+    /// `obs` receives the fetch, cache-outcome, trap-entry and
+    /// handler-fault events; [`NoObs`] records nothing and compiles the
+    /// hooks out.
+    ///
+    /// [`NoObs`]: imo_obs::NoObs
     ///
     /// # Errors
     ///
     /// Propagates [`ExecError`] if the architectural path leaves the text
     /// segment (a malformed program).
-    pub fn fetch(
+    pub fn fetch<O: Observer>(
         &mut self,
         cycle: u64,
         width: u32,
         hier: &mut MemoryHierarchy,
         out: &mut Vec<Fetched>,
-        mut obs: Option<&mut Recorder>,
+        obs: &mut O,
     ) -> Result<(), ExecError> {
-        if self.halted || self.blocked_on.is_some() || cycle < self.resume_at {
+        if !self.fetch_ready(cycle) {
             return Ok(());
         }
         self.resume_at = cycle; // any older redirect target is now stale
         for _ in 0..width {
             let pc = self.exec.state().pc();
-
-            // Instruction-cache line crossing (with next-line stream
-            // prefetch, so straight-line code misses once per redirect, not
-            // once per line).
-            let line = pc & !(self.line_bytes - 1);
-            if self.cur_line != Some(line) {
-                let lvl = hier.probe_inst(pc);
-                hier.prefetch_inst(line + self.line_bytes);
-                self.cur_line = Some(line);
-                if lvl != HitLevel::L1 {
-                    imo_obs::record(&mut obs, cycle, EventKind::InstMiss { pc });
-                    let ready = hier.schedule_inst(lvl, cycle);
-                    if ready > cycle {
-                        self.resume_at = ready;
-                        break;
-                    }
-                }
+            if self.cross_line(pc, cycle, hier, obs) {
+                break;
             }
-
-            let mut oracle = HierOracle { hier, last: None, last_addr: 0, last_prefetch: false };
-            let info = self.exec.step(&mut oracle)?;
-            let probe = oracle.last;
-            let (probe_addr, probe_prefetch) = (oracle.last_addr, oracle.last_prefetch);
-
-            // Pointer-chase provenance: a data reference whose base register
-            // was last written by a load is chasing a pointer. Loads taint
-            // their destination; any other writer cleans it.
-            let ptr_base = match info.instr {
-                Instr::Load { base, .. }
-                | Instr::Store { base, .. }
-                | Instr::Prefetch { base, .. } => self.reg_from_load & reg_bit(base) != 0,
-                _ => false,
-            };
-            if let Some(rd) = info.instr.dest() {
-                if !rd.is_zero() {
-                    if matches!(info.instr, Instr::Load { .. }) {
-                        self.reg_from_load |= reg_bit(rd);
-                    } else {
-                        self.reg_from_load &= !reg_bit(rd);
-                    }
-                }
-            }
-
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut f = Fetched {
-                seq,
-                pc,
-                instr: info.instr,
-                fetch_cycle: cycle,
-                probe,
-                informing_trap: false,
-                resolve: Resolve::None,
-                cc_dep: None,
-                is_cond_branch: matches!(info.instr, Instr::Branch { .. }),
-            };
-            if matches!(info.instr, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }) {
-                f.cc_dep = self.last_mem_seq;
-            }
-            if info.instr.is_data_ref() {
-                self.last_mem_seq = Some(seq);
-            }
-            imo_obs::record(&mut obs, cycle, EventKind::Fetch { seq, pc });
-            if let Some(p) = probe {
-                imo_obs::record(
-                    &mut obs,
-                    cycle,
-                    EventKind::DataAccess {
-                        served: p.served_by(),
-                        pc,
-                        addr: probe_addr,
-                        line: p.line,
-                        store: p.is_store,
-                        prefetch: probe_prefetch,
-                        ptr_base,
-                    },
-                );
-            }
-
-            match info.control {
-                ControlFlow::Halt => {
-                    self.halted = true;
-                    out.push(f);
-                    break;
-                }
-                ControlFlow::Sequential => {
-                    out.push(f);
-                }
-                ControlFlow::NotTaken => {
-                    if f.is_cond_branch {
-                        let predicted = self.pred.predict_and_update(pc, false);
-                        if predicted {
-                            // Predicted taken, actually fell through.
-                            self.mispredictions += 1;
-                            f.resolve = Resolve::AtExecute;
-                            self.blocked_on = Some(seq);
-                            out.push(f);
-                            break;
-                        }
-                        out.push(f);
-                    } else {
-                        // bmiss on a hit: statically predicted not-taken, correct.
-                        out.push(f);
-                    }
-                }
-                ControlFlow::Taken(_) => match info.instr {
-                    Instr::Branch { .. } => {
-                        let predicted = self.pred.predict_and_update(pc, true);
-                        if predicted {
-                            // Correctly-predicted taken branch: redirect costs
-                            // the rest of this fetch cycle only (BTB assumed).
-                            out.push(f);
-                            self.resume_at = cycle + 1;
-                            break;
-                        }
-                        self.mispredictions += 1;
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        out.push(f);
-                        break;
-                    }
-                    Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => {
-                        // Taken bmiss: statically predicted not-taken, so this
-                        // is always a mispredict-style redirect (the paper's
-                        // "normal branch mispredict penalty only applies to
-                        // the cache miss case").
-                        self.informing_traps += 1;
-                        imo_obs::record(&mut obs, cycle, EventKind::TrapEnter { seq, pc });
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        self.blocked_trap = true;
-                        out.push(f);
-                        break;
-                    }
-                    // Direct jumps, returns and handler returns are predicted
-                    // (BTB / return-address stack): one-cycle fetch redirect.
-                    _ => {
-                        out.push(f);
-                        self.resume_at = cycle + 1;
-                        break;
-                    }
-                },
-                ControlFlow::InformingTrap { .. } => {
-                    self.informing_traps += 1;
-                    f.informing_trap = true;
-                    imo_obs::record(&mut obs, cycle, EventKind::TrapEnter { seq, pc });
-                    if let Some(stream) = self.handler_faults.as_mut() {
-                        match stream.draw() {
-                            Some(fault) => {
-                                self.handler_fault_count += 1;
-                                self.consecutive_faults += 1;
-                                self.pending_penalty = Some((seq, fault.penalty_cycles()));
-                                imo_obs::record(
-                                    &mut obs,
-                                    cycle,
-                                    EventKind::HandlerFault {
-                                        seq,
-                                        penalty: fault.penalty_cycles(),
-                                    },
-                                );
-                                if self.degrade_after != 0
-                                    && self.consecutive_faults >= self.degrade_after
-                                    && !self.degraded
-                                {
-                                    // Enough consecutive faulty dispatches:
-                                    // give up on informing traps for the rest
-                                    // of the run. This trap still pays its
-                                    // penalty; later informing ops behave
-                                    // like normal ones.
-                                    self.degraded = true;
-                                    self.exec.state_mut().set_informing_suppressed(true);
-                                }
-                            }
-                            None => self.consecutive_faults = 0,
-                        }
-                    }
-                    let is_store = matches!(info.instr, Instr::Store { .. });
-                    f.resolve = if self.trap_model == TrapModel::Branch && !is_store {
-                        Resolve::AtExecute
-                    } else {
-                        Resolve::AtGraduate
-                    };
-                    self.blocked_on = Some(seq);
-                    self.blocked_trap = true;
-                    out.push(f);
-                    break;
-                }
+            let (f, ends_group) = self.fetch_one(pc, cycle, hier, obs)?;
+            out.push(f);
+            if ends_group {
+                break;
             }
         }
         Ok(())
     }
 
-    /// The unobserved fast twin of [`FrontEnd::fetch`]: consumes the
-    /// pre-decoded block table to stream runs of *plain* instructions (no
-    /// memory access, no control transfer) through
-    /// [`Executor::step_block`] in one batch, falling back to the exact
-    /// per-instruction path at every batch-breaking instruction.
+    /// The batched twin of [`FrontEnd::fetch`]: consumes the pre-decoded
+    /// block table to stream runs of *plain* instructions (no memory
+    /// access, no control transfer) through [`Executor::step_plain_run`]
+    /// in one batch, falling back to the per-instruction arm at every
+    /// batch-breaking instruction.
     ///
-    /// Bit-identical to `fetch(cycle, width, hier, out, None)` by
-    /// construction: the batch path only covers instructions for which the
-    /// generic path performs no probe, no predictor access, no trap or
-    /// fault-plan interaction, and no fetch break — everything else takes
-    /// the same per-instruction arms as `fetch` (minus event recording,
-    /// which is the caller's signal to use `fetch` instead).
+    /// Bit-identical to `fetch` by construction, events included: the
+    /// batch path only covers instructions for which `fetch` performs no
+    /// probe, no predictor access, no trap or fault-plan interaction, and
+    /// no fetch break, and it emits their `Fetch` events in order;
+    /// everything else takes the arm `fetch` itself uses.
     ///
     /// # Errors
     ///
     /// Propagates [`ExecError`] if the architectural path leaves the text
     /// segment (a malformed program).
-    pub fn fetch_fast<S: FetchSink>(
+    pub fn fetch_fast<S: FetchSink, O: Observer>(
         &mut self,
         cycle: u64,
         width: u32,
         hier: &mut MemoryHierarchy,
         out: &mut S,
+        obs: &mut O,
     ) -> Result<(), ExecError> {
         let Some(cache) = self.blocks else {
             // No block cache attached: take the generic path (cold).
             let mut buf = Vec::with_capacity(width as usize);
-            self.fetch(cycle, width, hier, &mut buf, None)?;
+            self.fetch(cycle, width, hier, &mut buf, obs)?;
             for f in buf {
                 out.push_full(f);
             }
             return Ok(());
         };
-        if self.halted || self.blocked_on.is_some() || cycle < self.resume_at {
+        if !self.fetch_ready(cycle) {
             return Ok(());
         }
         self.resume_at = cycle; // any older redirect target is now stale
@@ -724,20 +547,8 @@ impl<'p> FrontEnd<'p> {
         let mut fetched = 0u32;
         while fetched < width {
             let pc = self.exec.state().pc();
-
-            // Instruction-cache line crossing — identical to `fetch`.
-            let line = pc & !(self.line_bytes - 1);
-            if self.cur_line != Some(line) {
-                let lvl = hier.probe_inst(pc);
-                hier.prefetch_inst(line + self.line_bytes);
-                self.cur_line = Some(line);
-                if lvl != HitLevel::L1 {
-                    let ready = hier.schedule_inst(lvl, cycle);
-                    if ready > cycle {
-                        self.resume_at = ready;
-                        break;
-                    }
-                }
+            if self.cross_line(pc, cycle, hier, obs) {
+                break;
             }
 
             let Some(idx) = cache.index_of(pc) else {
@@ -748,9 +559,10 @@ impl<'p> FrontEnd<'p> {
             let run_len = cache.plain_run_len(idx);
             if run_len != 0 {
                 // Plain run: batch up to the group limit, the end of the
-                // I-cache line (the generic path re-probes at each line
-                // crossing), and the end of the plain run (pre-sized at
-                // block-cache build — no per-instruction meta scan).
+                // I-cache line (`fetch` re-probes at each line crossing),
+                // and the end of the plain run (pre-sized at block-cache
+                // build — no per-instruction meta scan).
+                let line = pc & !(self.line_bytes - 1);
                 let line_limit = ((line + self.line_bytes - pc) / 4) as u32;
                 let k = (width - fetched).min(line_limit).min(run_len);
                 // Plain instructions never consult the oracle, never touch
@@ -765,6 +577,11 @@ impl<'p> FrontEnd<'p> {
                 self.reg_from_load &= !written;
                 let seq0 = self.next_seq;
                 self.next_seq += u64::from(k);
+                if O::ON {
+                    for i in 0..u64::from(k) {
+                        obs.record(cycle, EventKind::Fetch { seq: seq0 + i, pc: pc + 4 * i });
+                    }
+                }
                 out.push_plain(self.exec.program().instrs(), idx, pc, seq0, k, cycle);
                 same_block &= Some(cache.block_index(idx + k as usize - 1)) == start_block;
                 self.stats.plain_instrs += u64::from(k);
@@ -772,126 +589,11 @@ impl<'p> FrontEnd<'p> {
                 continue;
             }
 
-            // Batch-breaking instruction: take the generic path's arms,
-            // minus event recording.
-            let mut oracle = HierOracle { hier, last: None, last_addr: 0, last_prefetch: false };
-            let info = self.exec.step(&mut oracle)?;
-            let probe = oracle.last;
-
-            if let Some(rd) = info.instr.dest() {
-                if !rd.is_zero() {
-                    if matches!(info.instr, Instr::Load { .. }) {
-                        self.reg_from_load |= reg_bit(rd);
-                    } else {
-                        self.reg_from_load &= !reg_bit(rd);
-                    }
-                }
-            }
-
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut f = Fetched {
-                seq,
-                pc,
-                instr: info.instr,
-                fetch_cycle: cycle,
-                probe,
-                informing_trap: false,
-                resolve: Resolve::None,
-                cc_dep: None,
-                is_cond_branch: matches!(info.instr, Instr::Branch { .. }),
-            };
-            if matches!(info.instr, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }) {
-                f.cc_dep = self.last_mem_seq;
-            }
-            if info.instr.is_data_ref() {
-                self.last_mem_seq = Some(seq);
-            }
+            let (f, ends_group) = self.fetch_one(pc, cycle, hier, obs)?;
             fetched += 1;
-
-            match info.control {
-                ControlFlow::Halt => {
-                    self.halted = true;
-                    out.push_full(f);
-                    break;
-                }
-                ControlFlow::Sequential => {
-                    out.push_full(f);
-                }
-                ControlFlow::NotTaken => {
-                    if f.is_cond_branch {
-                        let predicted = self.pred.predict_and_update(pc, false);
-                        if predicted {
-                            self.mispredictions += 1;
-                            f.resolve = Resolve::AtExecute;
-                            self.blocked_on = Some(seq);
-                            out.push_full(f);
-                            break;
-                        }
-                        out.push_full(f);
-                    } else {
-                        out.push_full(f);
-                    }
-                }
-                ControlFlow::Taken(_) => match info.instr {
-                    Instr::Branch { .. } => {
-                        let predicted = self.pred.predict_and_update(pc, true);
-                        if predicted {
-                            out.push_full(f);
-                            self.resume_at = cycle + 1;
-                            break;
-                        }
-                        self.mispredictions += 1;
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        out.push_full(f);
-                        break;
-                    }
-                    Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => {
-                        self.informing_traps += 1;
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        self.blocked_trap = true;
-                        out.push_full(f);
-                        break;
-                    }
-                    _ => {
-                        out.push_full(f);
-                        self.resume_at = cycle + 1;
-                        break;
-                    }
-                },
-                ControlFlow::InformingTrap { .. } => {
-                    self.informing_traps += 1;
-                    f.informing_trap = true;
-                    if let Some(stream) = self.handler_faults.as_mut() {
-                        match stream.draw() {
-                            Some(fault) => {
-                                self.handler_fault_count += 1;
-                                self.consecutive_faults += 1;
-                                self.pending_penalty = Some((seq, fault.penalty_cycles()));
-                                if self.degrade_after != 0
-                                    && self.consecutive_faults >= self.degrade_after
-                                    && !self.degraded
-                                {
-                                    self.degraded = true;
-                                    self.exec.state_mut().set_informing_suppressed(true);
-                                }
-                            }
-                            None => self.consecutive_faults = 0,
-                        }
-                    }
-                    let is_store = matches!(info.instr, Instr::Store { .. });
-                    f.resolve = if self.trap_model == TrapModel::Branch && !is_store {
-                        Resolve::AtExecute
-                    } else {
-                        Resolve::AtGraduate
-                    };
-                    self.blocked_on = Some(seq);
-                    self.blocked_trap = true;
-                    out.push_full(f);
-                    break;
-                }
+            out.push_full(f);
+            if ends_group {
+                break;
             }
         }
         self.stats.instrs += u64::from(fetched);
@@ -900,6 +602,199 @@ impl<'p> FrontEnd<'p> {
         }
         Ok(())
     }
+
+    /// Instruction-cache line crossing at `pc` (with next-line stream
+    /// prefetch, so straight-line code misses once per redirect, not once
+    /// per line). Returns `true` when a miss stalls the rest of this fetch
+    /// group.
+    #[inline(always)]
+    fn cross_line<O: Observer>(
+        &mut self,
+        pc: u64,
+        cycle: u64,
+        hier: &mut MemoryHierarchy,
+        obs: &mut O,
+    ) -> bool {
+        let line = pc & !(self.line_bytes - 1);
+        if self.cur_line == Some(line) {
+            return false;
+        }
+        let lvl = hier.probe_inst(pc);
+        hier.prefetch_inst(line + self.line_bytes);
+        self.cur_line = Some(line);
+        if lvl != HitLevel::L1 {
+            obs.record(cycle, EventKind::InstMiss { pc });
+            let ready = hier.schedule_inst(lvl, cycle);
+            if ready > cycle {
+                self.resume_at = ready;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Fetches and functionally executes the one instruction at `pc`:
+    /// probe, pointer-chase provenance, predictor, trap dispatch and fault
+    /// draw, with their events. Returns the entry and whether it ends the
+    /// fetch group.
+    #[inline(always)]
+    fn fetch_one<O: Observer>(
+        &mut self,
+        pc: u64,
+        cycle: u64,
+        hier: &mut MemoryHierarchy,
+        obs: &mut O,
+    ) -> Result<(Fetched, bool), ExecError> {
+        let mut oracle = HierOracle { hier, last: None, last_addr: 0, last_prefetch: false };
+        let info = self.exec.step(&mut oracle)?;
+        let probe = oracle.last;
+        let (probe_addr, probe_prefetch) = (oracle.last_addr, oracle.last_prefetch);
+
+        // Pointer-chase provenance: a data reference whose base register
+        // was last written by a load is chasing a pointer. Loads taint
+        // their destination; any other writer cleans it.
+        let ptr_base = match info.instr {
+            Instr::Load { base, .. } | Instr::Store { base, .. } | Instr::Prefetch { base, .. } => {
+                self.reg_from_load & reg_bit(base) != 0
+            }
+            _ => false,
+        };
+        if let Some(rd) = info.instr.dest() {
+            if !rd.is_zero() {
+                if matches!(info.instr, Instr::Load { .. }) {
+                    self.reg_from_load |= reg_bit(rd);
+                } else {
+                    self.reg_from_load &= !reg_bit(rd);
+                }
+            }
+        }
+
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let mut f = Fetched {
+            seq,
+            pc,
+            instr: info.instr,
+            fetch_cycle: cycle,
+            probe,
+            informing_trap: false,
+            resolve: Resolve::None,
+            cc_dep: None,
+            is_cond_branch: matches!(info.instr, Instr::Branch { .. }),
+        };
+        if matches!(info.instr, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }) {
+            f.cc_dep = self.last_mem_seq;
+        }
+        if info.instr.is_data_ref() {
+            self.last_mem_seq = Some(seq);
+        }
+        obs.record(cycle, EventKind::Fetch { seq, pc });
+        if let Some(p) = probe {
+            obs.record(
+                cycle,
+                EventKind::DataAccess {
+                    served: p.served_by(),
+                    pc,
+                    addr: probe_addr,
+                    line: p.line,
+                    store: p.is_store,
+                    prefetch: probe_prefetch,
+                    ptr_base,
+                },
+            );
+        }
+
+        let ends_group = match info.control {
+            ControlFlow::Halt => {
+                self.halted = true;
+                true
+            }
+            ControlFlow::Sequential => false,
+            ControlFlow::NotTaken => {
+                // Only a conditional branch can mispredict here: a bmiss on
+                // a hit is statically predicted not-taken, which is correct.
+                let mispredicted = f.is_cond_branch && self.pred.predict_and_update(pc, false);
+                if mispredicted {
+                    // Predicted taken, actually fell through.
+                    self.mispredictions += 1;
+                    f.resolve = Resolve::AtExecute;
+                    self.blocked_on = Some(seq);
+                }
+                mispredicted
+            }
+            ControlFlow::Taken(_) => {
+                match info.instr {
+                    Instr::Branch { .. } => {
+                        if self.pred.predict_and_update(pc, true) {
+                            // Correctly-predicted taken branch: redirect costs
+                            // the rest of this fetch cycle only (BTB assumed).
+                            self.resume_at = cycle + 1;
+                        } else {
+                            self.mispredictions += 1;
+                            f.resolve = Resolve::AtExecute;
+                            self.blocked_on = Some(seq);
+                        }
+                    }
+                    Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => {
+                        // Taken bmiss: statically predicted not-taken, so this
+                        // is always a mispredict-style redirect (the paper's
+                        // "normal branch mispredict penalty only applies to
+                        // the cache miss case").
+                        self.informing_traps += 1;
+                        obs.record(cycle, EventKind::TrapEnter { seq, pc });
+                        f.resolve = Resolve::AtExecute;
+                        self.blocked_on = Some(seq);
+                        self.blocked_trap = true;
+                    }
+                    // Direct jumps, returns and handler returns are predicted
+                    // (BTB / return-address stack): one-cycle fetch redirect.
+                    _ => self.resume_at = cycle + 1,
+                }
+                true
+            }
+            ControlFlow::InformingTrap { .. } => {
+                self.informing_traps += 1;
+                f.informing_trap = true;
+                obs.record(cycle, EventKind::TrapEnter { seq, pc });
+                if let Some(stream) = self.handler_faults.as_mut() {
+                    match stream.draw() {
+                        Some(fault) => {
+                            self.handler_fault_count += 1;
+                            self.consecutive_faults += 1;
+                            self.pending_penalty = Some((seq, fault.penalty_cycles()));
+                            obs.record(
+                                cycle,
+                                EventKind::HandlerFault { seq, penalty: fault.penalty_cycles() },
+                            );
+                            if self.degrade_after != 0
+                                && self.consecutive_faults >= self.degrade_after
+                                && !self.degraded
+                            {
+                                // Enough consecutive faulty dispatches: give
+                                // up on informing traps for the rest of the
+                                // run. This trap still pays its penalty;
+                                // later informing ops behave like normal
+                                // ones.
+                                self.degraded = true;
+                                self.exec.state_mut().set_informing_suppressed(true);
+                            }
+                        }
+                        None => self.consecutive_faults = 0,
+                    }
+                }
+                let is_store = matches!(info.instr, Instr::Store { .. });
+                f.resolve = if self.trap_model == TrapModel::Branch && !is_store {
+                    Resolve::AtExecute
+                } else {
+                    Resolve::AtGraduate
+                };
+                self.blocked_on = Some(seq);
+                self.blocked_trap = true;
+                true
+            }
+        };
+        Ok((f, ends_group))
+    }
 }
 
 #[cfg(test)]
@@ -907,6 +802,7 @@ mod tests {
     use super::*;
     use imo_isa::{Asm, Cond, Reg};
     use imo_mem::HierarchyConfig;
+    use imo_obs::NoObs;
 
     fn hier() -> MemoryHierarchy {
         MemoryHierarchy::new(HierarchyConfig::out_of_order())
@@ -932,14 +828,14 @@ mod tests {
         let mut h = hier();
         let mut out = Vec::new();
         // Cycle 0: the first line misses in the I-cache -> nothing fetched.
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert!(out.is_empty(), "cold I-miss blocks fetch");
         let resume = f.resume_at();
         assert!(resume > 0);
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 4, "full width once the line arrives");
         out.clear();
-        f.fetch(resume + 1, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume + 1, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 3, "remaining nops + halt");
         assert!(f.halted());
     }
@@ -961,7 +857,7 @@ mod tests {
         let mut stall_events = 0;
         while !f.halted() && cycle < 10_000 {
             let before = out.len();
-            f.fetch(cycle, 4, &mut h, &mut out, None).unwrap();
+            f.fetch(cycle, 4, &mut h, &mut out, &mut NoObs).unwrap();
             if out.len() == before && f.blocked_on().is_none() {
                 stall_events += 1;
                 cycle = f.resume_at().max(cycle + 1);
@@ -986,12 +882,12 @@ mod tests {
         let mut f = fe(&p);
         let mut h = hier();
         let mut out = Vec::new();
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 1, "jump ends its fetch group");
         out.clear();
-        f.fetch(resume + 1, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume + 1, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instr, Instr::Halt);
     }
@@ -1011,9 +907,9 @@ mod tests {
         let mut f = fe(&p);
         let mut h = hier();
         let mut out = Vec::new();
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 2, "li + branch; blocked after mispredict");
         let bseq = out[1].seq;
         assert_eq!(out[1].resolve, Resolve::AtExecute);
@@ -1022,14 +918,14 @@ mod tests {
 
         // Nothing fetched while blocked.
         out.clear();
-        f.fetch(resume + 5, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume + 5, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert!(out.is_empty());
 
         // Resolve at resume+20 with 1-cycle redirect: fetch resumes 2 later.
         f.resolve(bseq, resume + 20, 1);
-        f.fetch(resume + 21, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume + 21, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert!(out.is_empty());
-        f.fetch(resume + 22, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume + 22, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instr, Instr::Halt);
     }
@@ -1049,9 +945,9 @@ mod tests {
         let mut f = fe(&p);
         let mut h = hier();
         let mut out = Vec::new();
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let trap = out.iter().find(|x| x.informing_trap).expect("trap fetched");
         assert_eq!(trap.resolve, Resolve::AtExecute, "branch trap model");
         assert_eq!(f.informing_traps(), 1);
@@ -1059,7 +955,7 @@ mod tests {
 
         f.resolve(tseq, resume + 30, 1);
         out.clear();
-        f.fetch(resume + 32, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume + 32, 4, &mut h, &mut out, &mut NoObs).unwrap();
         // Handler instructions are the correct path after the trap.
         assert!(matches!(out[0].instr, Instr::Addi { .. }), "handler fetched: {:?}", out[0].instr);
     }
@@ -1078,9 +974,9 @@ mod tests {
         let mut f = FrontEnd::new(&p, 256, TrapModel::Exception, 32);
         let mut h = hier();
         let mut out = Vec::new();
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let trap = out.iter().find(|x| x.informing_trap).expect("trap fetched");
         assert_eq!(trap.resolve, Resolve::AtGraduate);
     }
@@ -1099,9 +995,9 @@ mod tests {
         let mut f = fe(&p);
         let mut h = hier();
         let mut out = Vec::new();
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let bm = out
             .iter()
             .find(|x| matches!(x.instr, Instr::BranchOnMiss { .. }))
@@ -1130,9 +1026,9 @@ mod tests {
         let mut f = fe(&p);
         let mut h = hier();
         let mut out = Vec::new();
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let bseq = f.blocked_on().expect("blocked on mispredict");
 
         let frag = f.encode();
@@ -1149,8 +1045,8 @@ mod tests {
         f.resolve(bseq, resume + 10, 1);
         g.resolve(bseq, resume + 10, 1);
         for cycle in resume + 11..resume + 40 {
-            f.fetch(cycle, 4, &mut h, &mut out_f, None).unwrap();
-            g.fetch(cycle, 4, &mut h2, &mut out_g, None).unwrap();
+            f.fetch(cycle, 4, &mut h, &mut out_f, &mut NoObs).unwrap();
+            g.fetch(cycle, 4, &mut h2, &mut out_g, &mut NoObs).unwrap();
         }
         assert!(f.halted() && g.halted());
         assert_eq!(out_f.len(), out_g.len());
@@ -1187,9 +1083,9 @@ mod tests {
         let mut f = fe(&p);
         let mut h = hier();
         let mut out = Vec::new();
-        f.fetch(0, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
-        f.fetch(resume, 4, &mut h, &mut out, None).unwrap();
+        f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let ld = out.iter().find(|x| x.instr.is_data_ref()).unwrap();
         let probe = ld.probe.expect("probe recorded");
         assert!(probe.level.is_l1_miss());

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use imo_isa::{BlockCache, FuClass, Instr, InstrMeta, Program, NO_REG};
 use imo_mem::{HitLevel, MemoryHierarchy};
-use imo_obs::{CpiCategory, CpiStack, EventKind, Recorder};
+use imo_obs::{CpiCategory, CpiStack, EventKind, NoObs, Observer, Recorder};
 use imo_util::json::Json;
 use imo_util::snapshot::{self, Snapshot as _, SnapshotError};
 
@@ -64,6 +64,37 @@ fn stall_category(on_trap: bool, on_miss: bool, miss_to_mem: bool) -> CpiCategor
     } else {
         CpiCategory::IssueStall
     }
+}
+
+/// Splits a folded window `[from, to)` into the segments the tick-accurate
+/// loop classifies alike. Nothing issues in the window, so the parked
+/// head's sources `srcs` are frozen, and source `s` blocks on its miss at
+/// cycle `c` iff its miss is pending and `c < regs[s].ready`: the class
+/// changes only at those `ready` cycles, so there are at most three
+/// segments. Yields `(cycles, on_miss, miss_to_mem)` per segment.
+fn window_segments(
+    regs: &[RegState; 64],
+    srcs: [u8; 2],
+    from: u64,
+    to: u64,
+) -> impl Iterator<Item = (u64, bool, bool)> + '_ {
+    // `NO_REG` falls outside `regs`, so absent sources never block.
+    let ends = srcs.map(|s| regs.get(s as usize).filter(|r| r.miss_pending).map_or(0, |r| r.ready));
+    let mut lo = from;
+    std::iter::from_fn(move || {
+        if lo >= to {
+            return None;
+        }
+        let start = lo;
+        lo = ends.into_iter().filter(|&e| e > start).fold(to, u64::min);
+        // As in the issue loop, the last blocking source sets the depth.
+        let to_mem = match (ends[0] > start, ends[1] > start) {
+            (_, true) => Some(regs[srcs[1] as usize].miss_to_mem),
+            (true, false) => Some(regs[srcs[0] as usize].miss_to_mem),
+            (false, false) => None,
+        };
+        Some((lo - start, to_mem.is_some(), to_mem.unwrap_or(false)))
+    })
 }
 
 /// Simulates `program` to completion on the in-order model.
@@ -284,13 +315,27 @@ fn decode_regs(body: &Json) -> Result<[RegState; 64], SnapshotError> {
     Ok(regs)
 }
 
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run(
     program: &Program,
     cfg: &InOrderConfig,
     limits: RunLimits,
     faults: Option<&imo_faults::FaultPlan>,
-    mut obs: Option<&mut Recorder>,
+    obs: Option<&mut Recorder>,
+    resume: Option<&Json>,
+) -> Result<RunOutcome, SimError> {
+    match obs {
+        Some(rec) => run_with(program, cfg, limits, faults, rec, resume),
+        None => run_with(program, cfg, limits, faults, &mut NoObs, resume),
+    }
+}
+
+#[allow(clippy::too_many_lines)]
+fn run_with<O: Observer>(
+    program: &Program,
+    cfg: &InOrderConfig,
+    limits: RunLimits,
+    faults: Option<&imo_faults::FaultPlan>,
+    obs: &mut O,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     // The in-order machine's informing traps always redirect at miss
@@ -361,13 +406,14 @@ pub(crate) fn run(
     let width = cfg.issue_width as u64;
     let mut done = false;
 
-    // Fast path: unobserved, event-driven runs take a specialized loop body
-    // driven by the pre-decoded block cache — batched straight-line fetch,
-    // table-driven issue, and a pending-miss bitmask in place of the
-    // per-cycle register scan. Observed and tick-accurate runs keep the
-    // generic body below untouched as the bit-identity reference
+    // Fast path: event-driven runs, observed or not, take a specialized
+    // loop body driven by the pre-decoded block cache — batched
+    // straight-line fetch, table-driven issue, and a pending-miss bitmask
+    // in place of the per-cycle register scan. The observer is a type
+    // parameter, so an unobserved run compiles its hooks out. Tick-accurate
+    // runs keep the generic body below as the bit-identity reference
     // (`tests/fastforward_identity.rs` compares the two).
-    let fast = obs.is_none() && !limits.force_tick_accurate;
+    let fast = !limits.force_tick_accurate;
     let cache = fast.then(|| BlockCache::build(program, |i| cfg.latency(i)));
     if let Some(cache) = &cache {
         fe.attach_blocks(cache);
@@ -444,13 +490,13 @@ pub(crate) fn run(
                 let mut fp_used = 0u32;
                 let mut br_used = 0u32;
                 let mut issued: u64 = 0;
-                // blocked_miss_to_mem is not tracked here: it only feeds the CPI
-                // stack, and the fast path never runs observed.
+                // Why issue stopped, for slot attribution (the miss depth
+                // only feeds the CPI stack).
                 let mut blocked_on_miss = false;
+                let mut blocked_miss_to_mem = false;
                 let mut next_wakeup: u64 = u64::MAX;
                 // Sources of the head entry whose failed readiness poll parked
-                // the issue loop; used to re-derive the stall classification as
-                // of `now + 1` when folding from a progress iteration.
+                // the issue loop; they classify the cycles a fold skips.
                 let mut stall_srcs: [u8; 2] = [NO_REG, NO_REG];
 
                 while issued < width {
@@ -500,6 +546,9 @@ pub(crate) fn run(
                                 ready_at = ready_at.max(rs.ready).max(rs.replay_floor);
                                 if rs.ready > now && rs.miss_pending {
                                     blocked_on_miss = true;
+                                    if O::ON {
+                                        blocked_miss_to_mem = rs.miss_to_mem;
+                                    }
                                 }
                             }
                             if ready_at > now {
@@ -509,7 +558,9 @@ pub(crate) fn run(
                                 break;
                             }
                             blocked_on_miss = false; // it issued after all
+                            blocked_miss_to_mem = false;
                         }
+                        obs.record(now, EventKind::Issue { seq: r.seq });
                         match m.fu {
                             0 | 3 => int_used += 1,
                             1 => fp_used += 1,
@@ -571,6 +622,9 @@ pub(crate) fn run(
                             ready_at = ready_at.max(r.ready).max(r.replay_floor);
                             if r.ready > now && r.miss_pending {
                                 blocked_on_miss = true;
+                                if O::ON {
+                                    blocked_miss_to_mem = r.miss_to_mem;
+                                }
                             }
                         }
                         if m.flags & InstrMeta::BMISS != 0 {
@@ -583,12 +637,18 @@ pub(crate) fn run(
                             break;
                         }
                         blocked_on_miss = false; // it issued after all
+                        blocked_miss_to_mem = false;
                     }
 
-                    // Copy out the three fields the issue arms need, then drop
-                    // the entry in place — popping the full ~96-byte `Fetched`
-                    // by value would memcpy it for nothing.
+                    // Copy out the fields the issue arms need, then drop the
+                    // entry in place — popping the full ~96-byte `Fetched` by
+                    // value would memcpy it for nothing.
                     let (seq, probe, resolve) = (f.seq, f.probe, f.resolve);
+                    let (trap, fetch_cycle) = (f.informing_trap, f.fetch_cycle);
+                    obs.record(now, EventKind::Issue { seq });
+                    if matches!(f.instr, Instr::JumpMhrr) {
+                        obs.record(now, EventKind::TrapReturn { seq });
+                    }
                     let _ = fq.full.pop_front();
                     fq.total -= 1;
                     match m.fu {
@@ -604,6 +664,7 @@ pub(crate) fn run(
                             let t = hier.schedule_data(probe, now);
                             outcome_cycle = t.start + cfg.hier.l1_latency;
                             last_mem_outcome = outcome_cycle;
+                            obs.observe("cpu.load_to_use", t.complete.saturating_sub(now));
                             if m.dest != NO_REG {
                                 let miss = probe.level.is_l1_miss();
                                 regs[m.dest as usize] = RegState {
@@ -658,6 +719,12 @@ pub(crate) fn run(
                             } else {
                                 now
                             };
+                            if trap {
+                                obs.observe(
+                                    "cpu.trap_redirect",
+                                    due.max(now).saturating_sub(fetch_cycle),
+                                );
+                            }
                             if due <= now {
                                 fe.resolve(seq, now, cfg.redirect_penalty);
                             } else {
@@ -694,6 +761,22 @@ pub(crate) fn run(
                         slots.other_stall += lost;
                     }
                 }
+                // One CPI-stack cycle per iteration, as in the generic loop;
+                // the fold below attributes the cycles it skips.
+                if O::ON {
+                    if issued > 0 {
+                        cpi.add(CpiCategory::Base, 1);
+                    } else {
+                        cpi.add(
+                            stall_category(
+                                fe.blocked_on_trap(),
+                                blocked_on_miss,
+                                blocked_miss_to_mem,
+                            ),
+                            1,
+                        );
+                    }
+                }
                 if done {
                     break;
                 }
@@ -701,7 +784,7 @@ pub(crate) fn run(
                 // ---- Fetch (block-batched) ----
                 if fq.total < 2 * cfg.issue_width as usize && fe.fetch_ready(now) {
                     let before = fq.total;
-                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fq)?;
+                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fq, obs)?;
                     if fq.total > before {
                         progress = true;
                     }
@@ -716,87 +799,65 @@ pub(crate) fn run(
                 }
 
                 // ---- Advance time (with fast-forward over quiet cycles) ----
-                if progress {
-                    if next_wakeup == now + 1 {
-                        // Parked exactly one cycle out (dependence chains in
-                        // dense code). The general fold below would pick
-                        // `next = now + 1` with zero skipped cycles, so only
-                        // the advance remains — and if no resolution or pause
-                        // boundary lands on that cycle, the next iteration's
-                        // preamble would be a no-op: skip it.
-                        now += 1;
-                        if now < stop_gate && resolve_q.next_due().is_none_or(|d| d > now) {
-                            continue 'hot;
-                        }
-                        break 'hot;
+                if progress && next_wakeup == now + 1 {
+                    // Parked exactly one cycle out (dependence chains in
+                    // dense code). The fold below would pick `next = now + 1`
+                    // with zero skipped cycles, so only the advance remains —
+                    // and if no resolution or pause boundary lands on that
+                    // cycle, the next iteration's preamble would be a no-op:
+                    // skip it.
+                    now += 1;
+                    if now < stop_gate && resolve_q.next_due().is_none_or(|d| d > now) {
+                        continue 'hot;
                     }
-                    if next_wakeup != u64::MAX {
-                        // The issue loop parked on a definite head stall, so the
-                        // following cycle's iteration would poll, fail, and fold.
-                        // Fold now instead, reproducing that iteration exactly:
-                        // its wake-up candidates are the same (the head's
-                        // `ready_at` and the queues are unchanged by idle
-                        // cycles; the front end gets a floor of `now + 1`, the
-                        // earliest it could act again), and its stall
-                        // classification re-tests the parked head's sources
-                        // against `now + 1`.
-                        let mut h = Horizon::new(now);
-                        h.consider(next_wakeup);
-                        h.consider_opt(resolve_q.next_due());
-                        if !fe.halted() && fe.blocked_on().is_none() {
-                            h.consider(fe.resume_at().max(now + 1));
-                        }
-                        let next = h.earliest().expect("next_wakeup is a candidate");
-                        let skipped = next - now - 1;
-                        if skipped > 0 {
-                            let mut blocked_next = false;
-                            for s in stall_srcs {
-                                if s != NO_REG {
-                                    let r = &regs[s as usize];
-                                    if r.ready > now + 1 && r.miss_pending {
-                                        blocked_next = true;
-                                    }
-                                }
-                            }
-                            let lost = skipped * width;
-                            if blocked_next {
-                                slots.cache_stall += lost;
-                            } else {
-                                slots.other_stall += lost;
-                            }
-                        }
-                        now = next;
-                    } else {
-                        now += 1;
-                    }
-                } else {
-                    let mut h = Horizon::new(now);
-                    if next_wakeup != u64::MAX {
-                        h.consider(next_wakeup);
-                    }
-                    h.consider_opt(resolve_q.next_due());
-                    if !fe.halted() && fe.blocked_on().is_none() {
-                        h.consider(fe.resume_at());
-                    }
-                    let Some(next) = h.earliest() else {
-                        return Err(SimError::Deadlock { cycle: now });
-                    };
-                    let skipped = next - now - 1;
-                    if skipped > 0 {
-                        let lost = skipped * width;
-                        if blocked_on_miss {
+                    break 'hot;
+                }
+                if progress && next_wakeup == u64::MAX {
+                    now += 1;
+                    break 'hot;
+                }
+                // Fold to the next wake-up. After a progress iteration that
+                // parked on a definite head stall, the following cycle would
+                // poll, fail, and fold with the same candidates (the head's
+                // `ready_at` and the queues are unchanged by idle cycles; the
+                // front end gets a floor of `now + 1`, the earliest it could
+                // act again), so the fold happens now instead.
+                let mut h = Horizon::new(now);
+                if next_wakeup != u64::MAX {
+                    h.consider(next_wakeup);
+                }
+                h.consider_opt(resolve_q.next_due());
+                if !fe.halted() && fe.blocked_on().is_none() {
+                    let floor = if progress { now + 1 } else { 0 };
+                    h.consider(fe.resume_at().max(floor));
+                }
+                let Some(next) = h.earliest() else {
+                    return Err(SimError::Deadlock { cycle: now });
+                };
+                if next > now + 1 {
+                    let on_trap = fe.blocked_on_trap();
+                    for (cycles, on_miss, to_mem) in
+                        window_segments(&regs, stall_srcs, now + 1, next)
+                    {
+                        let lost = cycles * width;
+                        if on_miss {
                             slots.cache_stall += lost;
                         } else {
                             slots.other_stall += lost;
                         }
+                        if O::ON {
+                            cpi.add(stall_category(on_trap, on_miss, to_mem), cycles);
+                        }
                     }
-                    now = next;
                 }
+                now = next;
                 break 'hot;
             }
         }
     }
 
+    // The generic body: the tick-accurate reference, one iteration per
+    // cycle.
     while !done {
         // Checkpoint boundary: pause before this cycle mutates anything, so
         // a resumed run re-enters the loop with bit-identical state.
@@ -872,9 +933,9 @@ pub(crate) fn run(
             blocked_miss_to_mem = false;
 
             let f = queue.pop_front().expect("front exists");
-            imo_obs::record(&mut obs, now, EventKind::Issue { seq: f.seq });
+            obs.record(now, EventKind::Issue { seq: f.seq });
             if matches!(f.instr, Instr::JumpMhrr) {
-                imo_obs::record(&mut obs, now, EventKind::TrapReturn { seq: f.seq });
+                obs.record(now, EventKind::TrapReturn { seq: f.seq });
             }
             match f.instr.fu_class() {
                 FuClass::Int | FuClass::Mem => int_used += 1,
@@ -890,9 +951,7 @@ pub(crate) fn run(
                     let t = hier.schedule_data(probe, now);
                     outcome_cycle = t.start + cfg.hier.l1_latency;
                     last_mem_outcome = outcome_cycle;
-                    if let Some(rec) = obs.as_deref_mut() {
-                        rec.metrics.observe("cpu.load_to_use", t.complete.saturating_sub(now));
-                    }
+                    obs.observe("cpu.load_to_use", t.complete.saturating_sub(now));
                     if let Some(dst) = f.instr.dest() {
                         let miss = probe.level.is_l1_miss();
                         regs[dst.logical()] = RegState {
@@ -941,12 +1000,10 @@ pub(crate) fn run(
                 Resolve::AtExecute | Resolve::AtGraduate => {
                     let due = if f.instr.is_data_ref() { outcome_cycle } else { now };
                     if f.informing_trap {
-                        if let Some(rec) = obs.as_deref_mut() {
-                            rec.metrics.observe(
-                                "cpu.trap_redirect",
-                                due.max(now).saturating_sub(f.fetch_cycle),
-                            );
-                        }
+                        obs.observe(
+                            "cpu.trap_redirect",
+                            due.max(now).saturating_sub(f.fetch_cycle),
+                        );
                     }
                     if due <= now {
                         fe.resolve(f.seq, now, cfg.redirect_penalty);
@@ -981,9 +1038,8 @@ pub(crate) fn run(
             }
         }
         // Exactly one CPI-stack cycle per loop iteration: this point runs
-        // before every `break`, and the fast-forward path below attributes
-        // the cycles it skips, so the stack total always equals `cycles`.
-        if obs.is_some() {
+        // before every `break`, so the stack total always equals `cycles`.
+        if O::ON {
             if issued > 0 {
                 cpi.add(CpiCategory::Base, 1);
             } else {
@@ -1001,7 +1057,7 @@ pub(crate) fn run(
         if queue.len() < 2 * cfg.issue_width as usize {
             let before = queue.len();
             fetch_buf.clear();
-            fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_buf, obs.as_deref_mut())?;
+            fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_buf, obs)?;
             queue.extend(fetch_buf.drain(..));
             if queue.len() > before {
                 progress = true;
@@ -1016,10 +1072,10 @@ pub(crate) fn run(
             return Err(SimError::CycleLimit(limits.max_cycles));
         }
 
-        // ---- Advance time (with fast-forward over quiet cycles) ----
-        if progress {
-            now += 1;
-        } else {
+        // ---- Advance time ----
+        if !progress {
+            // The horizon is still computed so deadlock detection matches
+            // the event-driven loop, but time advances one cycle.
             let mut h = Horizon::new(now);
             if next_wakeup != u64::MAX {
                 h.consider(next_wakeup);
@@ -1028,34 +1084,11 @@ pub(crate) fn run(
             if !fe.halted() && fe.blocked_on().is_none() {
                 h.consider(fe.resume_at());
             }
-            let Some(next) = h.earliest() else {
+            if h.earliest().is_none() {
                 return Err(SimError::Deadlock { cycle: now });
-            };
-            if limits.force_tick_accurate {
-                // Reference mode: the horizon was still computed (so deadlock
-                // detection is identical), but time advances one cycle.
-                now += 1;
-                continue;
             }
-            let skipped = next - now - 1;
-            if skipped > 0 {
-                let lost = skipped * width;
-                if blocked_on_miss {
-                    slots.cache_stall += lost;
-                } else {
-                    slots.other_stall += lost;
-                }
-                if obs.is_some() {
-                    // The skipped cycles would each have issued nothing with
-                    // this exact (frozen) machine state.
-                    cpi.add(
-                        stall_category(fe.blocked_on_trap(), blocked_on_miss, blocked_miss_to_mem),
-                        skipped,
-                    );
-                }
-            }
-            now = next;
         }
+        now += 1;
     }
 
     let cycles = now + 1;
@@ -1082,7 +1115,7 @@ pub(crate) fn run(
             inst_misses: hier.stats().inst_misses,
         },
     };
-    if let Some(rec) = obs {
+    if let Some(rec) = obs.recorder() {
         rec.cpi.merge(&cpi);
         rec.metrics.set("cpu.cycles", result.cycles);
         rec.metrics.set("cpu.instructions", result.instructions);

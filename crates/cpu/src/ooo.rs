@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 
 use imo_isa::{BlockCache, FuClass, Instr, MemKind, Program};
 use imo_mem::{HitLevel, MemoryHierarchy, MshrFile, MshrId};
-use imo_obs::{CpiCategory, CpiStack, EventKind, Recorder};
+use imo_obs::{CpiCategory, CpiStack, EventKind, NoObs, Observer, Recorder};
 use imo_util::json::Json;
 use imo_util::snapshot::{self, Snapshot as _, SnapshotError};
 
@@ -277,14 +277,29 @@ fn encode_loop(
     ])
 }
 
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run(
+    program: &Program,
+    cfg: &OooConfig,
+    limits: RunLimits,
+    trace: Option<&mut Vec<InstrTrace>>,
+    faults: Option<&imo_faults::FaultPlan>,
+    obs: Option<&mut Recorder>,
+    resume: Option<&Json>,
+) -> Result<RunOutcome, SimError> {
+    match obs {
+        Some(rec) => run_with(program, cfg, limits, trace, faults, rec, resume),
+        None => run_with(program, cfg, limits, trace, faults, &mut NoObs, resume),
+    }
+}
+
+#[allow(clippy::too_many_lines)]
+fn run_with<O: Observer>(
     program: &Program,
     cfg: &OooConfig,
     limits: RunLimits,
     mut trace: Option<&mut Vec<InstrTrace>>,
     faults: Option<&imo_faults::FaultPlan>,
-    mut obs: Option<&mut Recorder>,
+    obs: &mut O,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     let handler_stream = faults
@@ -405,11 +420,11 @@ pub(crate) fn run(
     let width = cfg.issue_width as u64;
     let mut done = false;
 
-    // Fast mode: unobserved, untraced, event-driven runs consume pre-decoded
-    // blocks in the front end and may use the dense-streak liveness shortcut
-    // in the advance phase. Observed, traced and tick-accurate runs are the
+    // Fast mode: event-driven runs — observed, traced or not — consume
+    // pre-decoded blocks in the front end and may use the dense-streak
+    // liveness shortcut in the advance phase. Tick-accurate runs are the
     // unchanged bit-identity reference.
-    let fast = obs.is_none() && trace.is_none() && !limits.force_tick_accurate;
+    let fast = !limits.force_tick_accurate;
     let cache = fast.then(|| BlockCache::build(program, |i| cfg.latency(i)));
     if let Some(cache) = &cache {
         fe.attach_blocks(cache);
@@ -605,20 +620,18 @@ pub(crate) fn run(
             if let Some(id) = e.mshr {
                 mshrs.graduate(id);
             }
-            if let Some(rec) = obs.as_deref_mut() {
-                rec.record(now, EventKind::Graduate { seq: e.f.seq });
+            if O::ON {
+                obs.record(now, EventKind::Graduate { seq: e.f.seq });
                 if matches!(e.f.instr, Instr::JumpMhrr) {
-                    rec.record(now, EventKind::TrapReturn { seq: e.f.seq });
+                    obs.record(now, EventKind::TrapReturn { seq: e.f.seq });
                 }
                 if matches!(e.f.instr, Instr::Load { .. }) && e.issue_cycle != u64::MAX {
-                    rec.metrics
-                        .observe("cpu.load_to_use", e.complete_cycle.saturating_sub(e.issue_cycle));
+                    obs.observe("cpu.load_to_use", e.complete_cycle.saturating_sub(e.issue_cycle));
                 }
                 if e.f.informing_trap {
                     let resolved =
                         if e.f.resolve == Resolve::AtGraduate { now } else { e.outcome_cycle };
-                    rec.metrics
-                        .observe("cpu.trap_redirect", resolved.saturating_sub(e.f.fetch_cycle));
+                    obs.observe("cpu.trap_redirect", resolved.saturating_sub(e.f.fetch_cycle));
                 }
             }
             if e.f.resolve == Resolve::AtGraduate {
@@ -651,7 +664,7 @@ pub(crate) fn run(
         // Exactly one CPI-stack cycle per loop iteration: this point runs
         // before every `break`, and the fast-forward path below attributes
         // the cycles it skips, so the stack total always equals `cycles`.
-        if obs.is_some() {
+        if O::ON {
             if g > 0 {
                 cpi.add(CpiCategory::Base, 1);
             } else {
@@ -800,16 +813,16 @@ pub(crate) fn run(
             e.issue_cycle = now;
             e.complete_cycle = complete;
             e.outcome_cycle = outcome;
-            imo_obs::record(&mut obs, now, EventKind::Issue { seq: e.f.seq });
+            obs.record(now, EventKind::Issue { seq: e.f.seq });
             if let Some((line, fill)) = alloc_mshr {
                 let fresh = mshrs.find(line).is_none();
                 if let Some(id) = mshrs.allocate(line) {
                     e.mshr = Some(id);
                     if fresh {
                         fills.push(fill, id);
-                        imo_obs::record(&mut obs, now, EventKind::MshrAllocate { line });
+                        obs.record(now, EventKind::MshrAllocate { line });
                     } else {
-                        imo_obs::record(&mut obs, now, EventKind::MshrMerge { line });
+                        obs.record(now, EventKind::MshrMerge { line });
                     }
                 }
             }
@@ -875,11 +888,11 @@ pub(crate) fn run(
             let before = fetch_q.len();
             if fast {
                 if fe.fetch_ready(now) {
-                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fetch_q)?;
+                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fetch_q, obs)?;
                 }
             } else {
                 fetch_buf.clear();
-                fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_buf, obs.as_deref_mut())?;
+                fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_buf, obs)?;
                 fetch_q.extend(fetch_buf.drain(..));
             }
             if fetch_q.len() > before {
@@ -998,7 +1011,7 @@ pub(crate) fn run(
                 } else {
                     slots.other_stall += lost;
                 }
-                if obs.is_some() {
+                if O::ON {
                     // The skipped cycles would each have graduated nothing
                     // with this exact (frozen) machine state.
                     cpi.add(classify(&rob, &fe), skipped);
@@ -1032,7 +1045,7 @@ pub(crate) fn run(
             inst_misses: hier.stats().inst_misses,
         },
     };
-    if let Some(rec) = obs {
+    if let Some(rec) = obs.recorder() {
         rec.cpi.merge(&cpi);
         rec.metrics.set("cpu.cycles", result.cycles);
         rec.metrics.set("cpu.instructions", result.instructions);

@@ -35,6 +35,17 @@ pub struct SpeedStats {
 }
 
 impl SpeedStats {
+    /// The counts accumulated since the `earlier` snapshot.
+    #[must_use]
+    pub fn since(&self, earlier: SpeedStats) -> SpeedStats {
+        SpeedStats {
+            groups: self.groups - earlier.groups,
+            block_groups: self.block_groups - earlier.block_groups,
+            plain_instrs: self.plain_instrs - earlier.plain_instrs,
+            instrs: self.instrs - earlier.instrs,
+        }
+    }
+
     /// Fraction of fetch groups served from a single block (0.0 when no
     /// groups have been issued).
     pub fn block_hit_rate(&self) -> f64 {
@@ -83,13 +94,8 @@ mod tests {
     fn flush_accumulates_and_ratios_are_exact() {
         let before = speed_stats();
         flush(FetchStats { groups: 8, block_groups: 6, plain_instrs: 20, instrs: 25 });
-        let after = speed_stats();
-        assert_eq!(after.groups - before.groups, 8);
-        assert_eq!(after.block_groups - before.block_groups, 6);
-        assert_eq!(after.plain_instrs - before.plain_instrs, 20);
-        assert_eq!(after.instrs - before.instrs, 25);
-
-        let s = SpeedStats { groups: 8, block_groups: 6, plain_instrs: 20, instrs: 25 };
+        let s = speed_stats().since(before);
+        assert_eq!(s, SpeedStats { groups: 8, block_groups: 6, plain_instrs: 20, instrs: 25 });
         assert!((s.block_hit_rate() - 0.75).abs() < 1e-12);
         assert!((s.batched_instr_pct() - 80.0).abs() < 1e-12);
         assert_eq!(SpeedStats::default().block_hit_rate(), 0.0);

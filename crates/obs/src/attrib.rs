@@ -32,7 +32,8 @@
 //! 4. otherwise (the line was recently reused but still missed — it lost
 //!    its set to competing lines) → **conflict**.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use imo_util::{Json, Table};
 
@@ -185,6 +186,32 @@ impl Fenwick {
     }
 }
 
+/// Hashes line addresses with the splitmix64 finalizer. It carries no
+/// per-process seed, so a table built by the same access sequence has the
+/// same layout on every run, and it costs a few multiplies where the
+/// default SipHash would dominate the once-per-access line lookup.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct LineInfo {
     /// Global access index of the last touch (valid only when `seen`).
@@ -207,7 +234,8 @@ struct ReuseSketch {
     /// position of some line.
     fen: Fenwick,
     slot_line: Vec<Option<u64>>,
-    lines: BTreeMap<u64, LineInfo>,
+    /// Per-line state; looked up, never iterated.
+    lines: HashMap<u64, LineInfo, BuildHasherDefault<LineHasher>>,
 }
 
 impl ReuseSketch {
@@ -218,7 +246,7 @@ impl ReuseSketch {
             t: 0,
             fen: Fenwick::new(window),
             slot_line: vec![None; window],
-            lines: BTreeMap::new(),
+            lines: HashMap::default(),
         }
     }
 
@@ -260,11 +288,13 @@ impl ReuseSketch {
         if self.slot_line[slot].take().is_some() {
             self.fen.add(slot, -1);
         }
-        let prev = *self.lines.entry(line).or_insert(LineInfo {
+        let info = self.lines.entry(line).or_insert(LineInfo {
             last_t: 0,
             seen: false,
             invalidated: false,
         });
+        let prev = *info;
+        *info = LineInfo { last_t: t, seen: true, invalidated: false };
         let reuse = if !prev.seen {
             Reuse::First
         } else if t - prev.last_t > w {
@@ -282,7 +312,6 @@ impl ReuseSketch {
         }
         self.slot_line[slot] = Some(line);
         self.fen.add(slot, 1);
-        self.lines.insert(line, LineInfo { last_t: t, seen: true, invalidated: false });
         self.t += 1;
         (reuse, prev.invalidated)
     }

@@ -107,6 +107,7 @@ impl CategoryMask {
 
     /// Whether `cat` is enabled.
     #[must_use]
+    #[inline]
     pub fn contains(self, cat: Category) -> bool {
         self.0 & cat.bit() != 0
     }
@@ -296,6 +297,7 @@ pub enum EventKind {
 impl EventKind {
     /// The category this kind records under.
     #[must_use]
+    #[inline]
     pub fn category(self) -> Category {
         match self {
             EventKind::Fetch { .. } | EventKind::Issue { .. } | EventKind::Graduate { .. } => {

@@ -8,9 +8,11 @@
 //! - **Typed events** ([`Event`]/[`EventKind`]): fetch/issue/graduate,
 //!   cache and MSHR outcomes, informing-trap entry/return, coherence
 //!   traffic, ECC and fault injections — recorded into a bounded ring
-//!   buffer [`Recorder`] gated by a per-category [`CategoryMask`]. A `None`
-//!   recorder (or an empty mask) costs one branch and leaves simulation
-//!   results bit-identical.
+//!   buffer [`Recorder`] gated by a per-category [`CategoryMask`]. The CPU
+//!   cores are generic over [`Observer`]; their [`NoObs`] instance compiles
+//!   the record sites out, a `None` recorder elsewhere (or an empty mask)
+//!   costs one branch, and either way simulation results stay
+//!   bit-identical.
 //! - **Metrics** ([`MetricsRegistry`]): named counters plus fixed-bucket
 //!   latency [`Histogram`]s (load-to-use, trap redirect, retry backoff)
 //!   with one shared schema across `imo-cpu`, `imo-mem`, `imo-coherence`
@@ -41,6 +43,7 @@ pub mod cpi;
 pub mod event;
 pub mod export;
 pub mod metrics;
+pub mod observer;
 pub mod pattern;
 pub mod recorder;
 
@@ -49,6 +52,7 @@ pub use cpi::{CpiCategory, CpiStack};
 pub use event::{Category, CategoryMask, Event, EventKind, ServedBy};
 pub use export::{chrome_trace, compare_stacks, flame_summary};
 pub use metrics::{Histogram, MetricsRegistry, BUCKET_BOUNDS};
+pub use observer::{NoObs, Observer};
 pub use pattern::{Pattern, PatternDetector};
 pub use recorder::{Recorder, DEFAULT_CAPACITY};
 

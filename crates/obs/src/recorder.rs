@@ -1,11 +1,13 @@
 //! The bounded ring-buffer event recorder.
 //!
-//! A [`Recorder`] is handed to a simulator as `Option<&mut Recorder>`; the
-//! `None` path costs one branch per would-be event and the recorder never
-//! feeds back into simulation state, so instrumented runs are bit-identical
-//! to plain ones. With a recorder present, each event pays one mask AND
-//! before any allocation — disabling a category suppresses its stream
-//! entirely.
+//! A [`Recorder`] is handed to a simulator either as the
+//! [`crate::Observer`] type parameter of the CPU cores (whose unobserved
+//! [`crate::NoObs`] instance compiles the record sites out) or as an
+//! `Option<&mut Recorder>` (one branch per would-be event). The recorder
+//! never feeds back into simulation state, so instrumented runs are
+//! bit-identical to plain ones. With a recorder present, each event pays
+//! one mask AND before any allocation — disabling a category suppresses
+//! its stream entirely.
 
 use crate::attrib::{AttribConfig, Attribution};
 use crate::cpi::CpiStack;
@@ -105,15 +107,19 @@ impl Recorder {
         if let Some(attrib) = self.attrib.as_deref_mut() {
             attrib.on_event(&kind);
         }
-        if !self.mask.contains(kind.category()) {
-            return;
+        if self.mask.contains(kind.category()) {
+            self.retain(Event { cycle, kind });
         }
+    }
+
+    /// Counts an enabled event and stores it in the ring. Kept out of
+    /// [`Recorder::record`] so the masked-out case inlines to one test.
+    fn retain(&mut self, ev: Event) {
         self.total += 1;
         if self.capacity == 0 {
             self.dropped += 1;
             return;
         }
-        let ev = Event { cycle, kind };
         if self.ring.len() < self.capacity {
             self.ring.push(ev);
         } else {

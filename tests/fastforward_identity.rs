@@ -5,7 +5,9 @@
 //! wakeup-horizon computation (so deadlock detection is unchanged) but
 //! advances time one cycle at a time instead of jumping to the next event.
 //! Every run here must produce a bit-identical `RunResult` either way —
-//! counters, slot accounting, trap and misprediction totals, all of it.
+//! counters, slot accounting, trap and misprediction totals, all of it —
+//! and an observed run must also record the same events, metrics, CPI
+//! stack and miss attribution either way.
 
 use imo_faults::FaultConfig;
 use imo_faults::FaultPlan;
@@ -14,21 +16,28 @@ use imo_util::ensure_eq;
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
 use informing_memops::cpu::{
-    inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, SimSession,
+    inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, RunResult, SimSession,
 };
-use informing_memops::obs::Recorder;
+use informing_memops::isa::Program;
+use informing_memops::obs::{CategoryMask, Recorder};
 use informing_memops::workloads::{all, by_name, Scale};
 
-fn schemes() -> [(&'static str, Scheme); 3] {
+fn schemes() -> [(&'static str, Scheme); 5] {
+    let one = HandlerBody::Generic { len: 1 };
     let body = HandlerBody::Generic { len: 10 };
     [
         ("none", Scheme::None),
+        // Fig. 2's 1-instruction handlers: short enough that a missed
+        // load's replay floor outlives its data, which moves the stall
+        // class inside a fast-forwarded window.
+        ("trap-1S", Scheme::Trap { handlers: HandlerKind::Single, body: one }),
+        ("trap-1U", Scheme::Trap { handlers: HandlerKind::PerReference, body: one }),
         ("trap-10S", Scheme::Trap { handlers: HandlerKind::Single, body }),
         ("cc-10S", Scheme::ConditionCode { handlers: HandlerKind::Single, body }),
     ]
 }
 
-/// All 14 workloads x both machines x 3 schemes: event-driven equals
+/// All 14 workloads x both machines x 5 schemes: event-driven equals
 /// tick-accurate bit-for-bit.
 #[test]
 fn all_workloads_machines_schemes_are_tick_identical() {
@@ -104,10 +113,11 @@ fn seeded_faulty_runs_are_tick_identical() {
 
 /// Block-batch property sweep: 32 seeded random configurations, each run in
 /// one of the four modes that interact with the block-batched fast paths —
-/// recorder on and attribution on (which must *disengage* the batch path,
-/// exactly), a seeded fault plan (which rides through it), and a `stop_at`
-/// landing mid-run (which forces the split plain-run queue to rematerialize
-/// into a checkpoint and resume). Every mode must end bit-identical to the
+/// recorder on and attribution on (which ride through the batch path and
+/// must observe exactly what a tick-accurate observed run observes), a
+/// seeded fault plan (which rides through it), and a `stop_at` landing
+/// mid-run (which forces the split plain-run queue to rematerialize into a
+/// checkpoint and resume). Every mode must end bit-identical to the
 /// tick-accurate reference.
 #[test]
 fn block_batch_modes_are_tick_identical() {
@@ -130,20 +140,19 @@ fn block_batch_modes_are_tick_identical() {
             .map_err(|e| format!("{ctx} (tick): {e}"))?;
         match *g.pick(&["recorder", "attrib", "faulty", "stop_at"]) {
             "recorder" => {
-                let mut rec = Recorder::all();
-                let (res, _) = machine
-                    .run_observed(&inst.program, &mut rec)
-                    .map_err(|e| format!("{ctx} (recorder): {e}"))?;
-                ensure_eq!(res, tick, "{ctx}: recorder on");
-                ensure_eq!(rec.cpi.total(), res.cycles, "{ctx}: CPI covers every cycle");
+                let ev = observed(&machine, &inst.program, RunLimits::default(), full_recorder)?;
+                ensure_eq!(ev.0, tick, "{ctx}: recorder on");
+                ensure_eq!(ev.1.cpi.total(), tick.cycles, "{ctx}: CPI covers every cycle");
+                let tk =
+                    observed(&machine, &inst.program, RunLimits::tick_accurate(), full_recorder)?;
+                same_observation(&ctx, &ev, &tk)?;
             }
             "attrib" => {
-                let mut rec = Recorder::disabled();
-                rec.enable_attribution(machine.attrib_config());
-                let (res, _) = machine
-                    .run_observed(&inst.program, &mut rec)
-                    .map_err(|e| format!("{ctx} (attrib): {e}"))?;
-                ensure_eq!(res, tick, "{ctx}: attribution on");
+                let ev = observed(&machine, &inst.program, RunLimits::default(), attrib_recorder)?;
+                ensure_eq!(ev.0, tick, "{ctx}: attribution on");
+                let tk =
+                    observed(&machine, &inst.program, RunLimits::tick_accurate(), attrib_recorder)?;
+                same_observation(&ctx, &ev, &tk)?;
             }
             "faulty" => {
                 let mut fc = FaultConfig::none(g.int(1..u64::MAX));
@@ -189,7 +198,7 @@ fn block_batch_modes_are_tick_identical() {
     });
 }
 
-fn run_to_completion(outcome: Outcome) -> Result<informing_memops::cpu::RunResult, String> {
+fn run_to_completion(outcome: Outcome) -> Result<RunResult, String> {
     match outcome {
         Outcome::Complete { result, .. } => Ok(result),
         Outcome::Paused(c) => Err(format!("unexpected pause at cycle {}", c.cycle())),
@@ -223,4 +232,124 @@ fn random_configurations_are_tick_identical() {
         ensure_eq!(event, tick, "{name} on {} under {scheme:?}", machine.name());
         Ok(())
     });
+}
+
+/// Builds a fresh recorder for one observed run on a machine.
+type MakeRecorder = fn(&Machine) -> Recorder;
+
+/// A recorder keeping every event category in a ring that never evicts.
+fn full_recorder(_: &Machine) -> Recorder {
+    Recorder::with_capacity(CategoryMask::ALL, usize::MAX)
+}
+
+/// The `why_miss` configuration: no events kept, attribution on.
+fn attrib_recorder(machine: &Machine) -> Recorder {
+    let mut rec = Recorder::disabled();
+    rec.enable_attribution(machine.attrib_config());
+    rec
+}
+
+/// Runs `program` to completion under a fresh recorder from `make`.
+fn observed(
+    machine: &Machine,
+    program: &Program,
+    limits: RunLimits,
+    make: MakeRecorder,
+) -> Result<(RunResult, Recorder), String> {
+    let mut rec = make(machine);
+    let outcome = SimSession::new(program, machine.core_config())
+        .limits(limits)
+        .recorder(&mut rec)
+        .run()
+        .map_err(|e| format!("{} observed run: {e}", machine.name()))?;
+    Ok((run_to_completion(outcome)?, rec))
+}
+
+/// Every observable of two observed runs agrees: the result, the retained
+/// events in order, the recorded and dropped counts, the CPI stack, the
+/// metrics registry, and the attribution state.
+fn same_observation(
+    ctx: &str,
+    (res_a, a): &(RunResult, Recorder),
+    (res_b, b): &(RunResult, Recorder),
+) -> Result<(), String> {
+    ensure_eq!(res_a, res_b, "{ctx}: result");
+    ensure_eq!(a.total_recorded(), b.total_recorded(), "{ctx}: events recorded");
+    ensure_eq!(a.dropped(), 0, "{ctx}: the ring must retain every event");
+    ensure_eq!(b.dropped(), 0, "{ctx}: the ring must retain every event");
+    if a.events() != b.events() {
+        let first = a.events().iter().zip(b.events()).position(|(x, y)| *x != y);
+        return Err(format!("{ctx}: event streams differ (first at index {first:?})"));
+    }
+    ensure_eq!(a.cpi, b.cpi, "{ctx}: CPI stack");
+    ensure_eq!(a.metrics, b.metrics, "{ctx}: metrics");
+    ensure_eq!(
+        format!("{:?}", a.attribution()),
+        format!("{:?}", b.attribution()),
+        "{ctx}: attribution state"
+    );
+    Ok(())
+}
+
+/// Observation must not change what is simulated nor what is observed:
+/// 14 workloads x {N, trap-10S, cc-10S, trap-1U} x both machines, each
+/// under a never-evicting full recorder and under attribution alone, run
+/// event-driven (block-batched) and tick-accurate, agree on every
+/// observable.
+#[test]
+fn observed_runs_are_tick_identical_on_every_observable() {
+    let one = HandlerBody::Generic { len: 1 };
+    let body = HandlerBody::Generic { len: 10 };
+    let schemes = [
+        ("none", Scheme::None),
+        ("trap-10S", Scheme::Trap { handlers: HandlerKind::Single, body }),
+        ("cc-10S", Scheme::ConditionCode { handlers: HandlerKind::Single, body }),
+        ("trap-1U", Scheme::Trap { handlers: HandlerKind::PerReference, body: one }),
+    ];
+    let recorders: [(&str, MakeRecorder); 2] =
+        [("full", full_recorder), ("attrib", attrib_recorder)];
+    let mut failures = Vec::new();
+    for spec in all() {
+        let p = (spec.build)(Scale::Test);
+        for (label, scheme) in &schemes {
+            let inst = instrument(&p, scheme).expect("instruments");
+            for machine in [Machine::default_ooo(), Machine::default_in_order()] {
+                for (rec_label, make) in recorders {
+                    let ctx = format!("{}/{}/{label}/{rec_label}", spec.name, machine.name());
+                    let ev = observed(&machine, &inst.program, RunLimits::default(), make)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let tk = observed(&machine, &inst.program, RunLimits::tick_accurate(), make)
+                        .unwrap_or_else(|e| panic!("{ctx} (tick): {e}"));
+                    if let Err(e) = same_observation(&ctx, &ev, &tk) {
+                        failures.push(e);
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of 224 cases differ:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// Traced out-of-order runs ride the fast path too: the per-instruction
+/// pipeline trace is identical event-driven and tick-accurate.
+#[test]
+fn traced_runs_are_tick_identical() {
+    for spec in all() {
+        let p = (spec.build)(Scale::Test);
+        for (label, scheme) in &schemes() {
+            let inst = instrument(&p, scheme).expect("instruments");
+            let cfg = OooConfig::paper();
+            let ev = ooo::simulate_traced(&inst.program, &cfg, RunLimits::default())
+                .unwrap_or_else(|e| panic!("{}/{label}: {e}", spec.name));
+            let tk = ooo::simulate_traced(&inst.program, &cfg, RunLimits::tick_accurate())
+                .unwrap_or_else(|e| panic!("{}/{label} (tick): {e}", spec.name));
+            assert_eq!(ev.0, tk.0, "{}/{label}: traced result", spec.name);
+            assert!(ev.1 == tk.1, "{}/{label}: pipeline traces differ", spec.name);
+        }
+    }
 }

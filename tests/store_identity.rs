@@ -7,7 +7,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use imo_bench::serve::{decode_result, result_json};
@@ -130,24 +130,35 @@ fn concurrent_writers_racing_one_key_never_tear() {
             })
         })
         .collect();
+    // The reader makes at least 400 reads and keeps going until it has
+    // seen a value or both writers are done, so a reader that races ahead
+    // of the writers' first put cannot finish empty-handed.
+    let writers_done = Arc::new(AtomicBool::new(false));
     let reader = {
         let dir = dir.0.clone();
         let (p1, p2) = (Arc::clone(&p1), Arc::clone(&p2));
+        let writers_done = Arc::clone(&writers_done);
         std::thread::spawn(move || {
             let store = Store::open(&dir, StoreMode::ReadOnly, 3);
             let mut observed = 0u32;
-            for _ in 0..400 {
+            let mut reads = 0u32;
+            loop {
+                let done = writers_done.load(Ordering::SeqCst);
                 if let Some(v) = store.get(key) {
                     assert!(v == *p1 || v == *p2, "reader saw a payload nobody wrote");
                     observed += 1;
                 }
+                reads += 1;
+                if reads >= 400 && (observed > 0 || done) {
+                    return observed;
+                }
             }
-            observed
         })
     };
     for w in writers {
         w.join().expect("writer thread");
     }
+    writers_done.store(true, Ordering::SeqCst);
     let observed = reader.join().expect("reader thread");
     assert!(observed > 0, "reader never saw a value despite 400 writes");
     let final_value = Store::open(&dir.0, StoreMode::ReadOnly, 3).get(key).expect("final value");
