@@ -4,10 +4,10 @@
 //! the simulator moves the whole store to a fresh directory — cached
 //! results can never survive the code that produced them.
 //!
-//! The bench and serve crates are deliberately *excluded*: they only
-//! decide which cells exist and how results are shipped, and every
-//! cell-shaping input is already part of the memo key. Editing a bench
-//! matrix therefore invalidates exactly the touched cells, not the store.
+//! The bench crate is deliberately *excluded*: it only decides which cells
+//! exist, and every cell-shaping input is already part of the memo key.
+//! Editing a bench matrix therefore invalidates exactly the touched cells,
+//! not the store.
 
 use std::fs;
 use std::path::Path;

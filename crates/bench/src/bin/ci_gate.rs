@@ -17,20 +17,12 @@
 //! `examples/bench_check.rs` runs.
 //!
 //! Usage: `cargo run --release -p imo-bench --bin ci_gate [--skip-wall]
-//! [--serve] [--store-dir DIR] [--stats-json PATH] [--assert-warm PCT]
+//! [--store-dir DIR] [--stats-json PATH] [--assert-warm PCT]
 //! [--code-hash]`. `--skip-wall` skips the wall-clock targets
-//! (`substrate`, `obs_overhead`, `simspeed`, `chaos_soak`) entirely; by
-//! default they run with fast sampling knobs
-//! (3 samples × 2 ms) unless the caller already set `IMO_BENCH_SAMPLES` /
-//! `IMO_BENCH_SAMPLE_MS`. Exits nonzero on any drift, schema violation, or
-//! missing baseline.
-//!
-//! `--serve` starts an `imo-serve` job server on loopback (the binary must
-//! sit next to `ci_gate` in the target directory) and routes every
-//! `run_cpu_cells` sweep through it via `IMO_SERVE_ADDR` — the gate then
-//! asserts the server path reproduces the committed baselines
-//! byte-identically, cell results streaming back over TCP from worker
-//! subprocesses.
+//! (`substrate`, `obs_overhead`, `simspeed`) entirely; by default they run
+//! with fast sampling knobs (3 samples × 2 ms) unless the caller already
+//! set `IMO_BENCH_SAMPLES` / `IMO_BENCH_SAMPLE_MS`. Exits nonzero on any
+//! drift, schema violation, or missing baseline.
 //!
 //! Sweep-store flags (the cross-run incremental path, DESIGN.md §14):
 //!
@@ -43,12 +35,9 @@
 //!   disk) for CI artifacts and `scripts/tier2.sh`;
 //! * `--assert-warm PCT` — fail unless at least `PCT`% of the distinct
 //!   cells this run needed were served from the on-disk store: CI's warm
-//!   job runs the gate twice and pins the second run ≥ 90%. Don't combine
-//!   with `--serve`: the client ships cells to worker subprocesses, whose
-//!   disk hits this process cannot count.
+//!   job runs the gate twice and pins the second run ≥ 90%.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::process::ExitCode;
 use std::time::Instant;
 
 use imo_bench::gate::{self, Drift};
@@ -118,70 +107,20 @@ fn envelope(name: &str, payload: Json) -> Json {
     }
 }
 
-/// A spawned `imo-serve` child, killed when the gate exits.
-struct ServeGuard {
-    child: Child,
-}
-
-impl Drop for ServeGuard {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Starts `imo-serve` (built into the same target directory as `ci_gate`)
-/// on an ephemeral loopback port and points `IMO_SERVE_ADDR` at it, so every
-/// `run_cpu_cells` sweep below routes through the job server.
-fn start_server() -> ServeGuard {
-    let exe = std::env::current_exe().expect("current_exe");
-    let serve = exe.with_file_name("imo-serve");
-    let mut child = Command::new(&serve)
-        .args(["--addr", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap_or_else(|e| {
-            panic!(
-                "ci_gate --serve: spawning {}: {e}\n(build it first: \
-                 cargo build --release -p imo-serve)",
-                serve.display()
-            )
-        });
-    let stdout = child.stdout.take().expect("imo-serve stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("imo-serve banner");
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected imo-serve banner: {line:?}"))
-        .to_string();
-    println!("ci_gate: routing cpu sweeps through job server at {addr}");
-    std::env::set_var("IMO_SERVE_ADDR", addr);
-    ServeGuard { child }
-}
-
 /// Parsed command line; see the module docs for flag meanings.
 struct Args {
     skip_wall: bool,
-    via_server: bool,
     code_hash: bool,
     stats_json: Option<String>,
     assert_warm: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        skip_wall: false,
-        via_server: false,
-        code_hash: false,
-        stats_json: None,
-        assert_warm: None,
-    };
+    let mut args = Args { skip_wall: false, code_hash: false, stats_json: None, assert_warm: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--skip-wall" => args.skip_wall = true,
-            "--serve" => args.via_server = true,
             "--code-hash" => args.code_hash = true,
             "--store-dir" => {
                 let dir = it.next().ok_or("--store-dir needs a directory")?;
@@ -281,7 +220,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let skip_wall = args.skip_wall;
-    let _serve_guard = args.via_server.then(start_server);
     if !skip_wall {
         // Fast sampling for the wall-clock targets: the gate only sanity-
         // checks those numbers, so don't spend CI minutes refining medians.

@@ -61,7 +61,7 @@ const fn r(path: &'static str, expect: Expect) -> Rule {
     Rule { path, expect }
 }
 
-/// The declarative schema table for all 16 baselines.
+/// The declarative schema table, one entry per registered bench target.
 pub const SCHEMAS: &[BenchSchema] = &[
     BenchSchema {
         name: "table1",
@@ -252,27 +252,6 @@ pub const SCHEMAS: &[BenchSchema] = &[
             r("data.dedup.hit_rate", Expect::NumPos),
         ],
     },
-    BenchSchema {
-        name: "chaos_soak",
-        rules: &[
-            r("data.cells", Expect::NumPos),
-            r("data.sweeps", Expect::ArrLen(4)), // synth, coh, cpu, clean
-            r("data.sweeps[*].name", Expect::Str),
-            r("data.sweeps[*].cells", Expect::NumPos),
-            r("data.sweeps[*].byte_identical", Expect::True),
-            r("data.sweeps[*].wall_ms", Expect::NumPos),
-            r("data.clean_identical", Expect::True),
-            r("data.coh_recovered", Expect::True),
-            r("data.no_quarantine", Expect::True),
-            r("data.counters.cells_completed", Expect::NumPos),
-            r("data.counters.redispatches", Expect::NumPos),
-            r("data.counters.recovered_from_checkpoint", Expect::NumPos),
-            r("data.counters.recovered_ckpt_coh", Expect::NumPos),
-            r("data.counters.worker_failures", Expect::NumPos),
-            r("data.counters.quarantined_cells", Expect::Num),
-            r("data.wall_ms", Expect::NumPos),
-        ],
-    },
 ];
 
 /// Looks a schema up by bench name.
@@ -378,7 +357,6 @@ pub const WALL_KEYS: &[&str] = &[
     "tick_wall_ns",
     "cycles_per_sec",
     "speedup_vs_tick",
-    "wall_ms",
 ];
 
 /// The wall-clock tolerance factor: `IMO_GATE_WALL_TOL` or a wide default.
@@ -538,12 +516,14 @@ mod tests {
     }
 
     #[test]
-    fn schema_table_covers_all_16_targets() {
-        assert_eq!(SCHEMAS.len(), 16);
+    fn schema_table_covers_every_registered_target() {
         let mut names: Vec<_> = SCHEMAS.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 16);
+        assert_eq!(names.len(), SCHEMAS.len(), "duplicate schema names");
+        let mut targets: Vec<_> = crate::targets::registry().iter().map(|t| t.name).collect();
+        targets.sort_unstable();
+        assert_eq!(names, targets, "one schema per registered target");
     }
 
     #[test]

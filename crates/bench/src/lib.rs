@@ -36,10 +36,10 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod codec;
 pub mod gate;
 pub mod report;
 pub mod runners;
-pub mod serve;
 pub mod sweep;
 pub mod targets;
 

@@ -7,6 +7,7 @@ use imo_util::hash::debug_hash;
 use imo_workloads::parallel::{all_apps, ParallelTrace, TraceConfig};
 use imo_workloads::Scale;
 
+use crate::codec::{decode_sim_result, sim_result_json};
 use crate::sweep::{cpu_cells, cross2, memoized_stored, run_cpu_cells, SweepSpec};
 
 /// Runs the Figure 2/3 variant set for one workload on both machines
@@ -36,12 +37,12 @@ pub struct Fig4Row {
 /// ([`crate::sweep::memoized_stored`]). The trace — tens of thousands of
 /// generated ops — enters the key as a structural `Debug` hash rather than
 /// verbatim; every other counter-relevant input (`scheme`, full machine
-/// params) is in the key directly. Values persist as serve-layer
-/// `SimResult` wire JSON, so warm runs serve the Figure 4 / fault-identity
-/// baselines from disk.
+/// params) is in the key directly. Values persist through the
+/// [`crate::codec`] `SimResult` codec, so warm runs serve the Figure 4 /
+/// fault-identity baselines from disk.
 pub fn memoized_baseline(app: &ParallelTrace, scheme: Scheme, params: &MachineParams) -> SimResult {
     let key = format!("coh-baseline/{}/{:016x}/{scheme:?}/{params:?}", app.name, debug_hash(app));
-    memoized_stored(&key, crate::serve::sim_result_json, crate::serve::decode_sim_result, || {
+    memoized_stored(&key, sim_result_json, decode_sim_result, || {
         simulate_baseline(app, scheme, params)
     })
 }

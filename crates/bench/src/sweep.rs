@@ -38,10 +38,10 @@
 //! ([`code_fingerprint`]) is a build-time digest of every simulator
 //! crate's sources, so a simulator change invalidates the store wholesale
 //! while a bench-matrix edit invalidates only the touched cells (their
-//! inputs are the key). Disk values round-trip through the serve-layer
-//! wire codecs — the same bit-exact encodings `ci_gate --serve` proves —
-//! and any verification or decode failure silently falls back to
-//! recompute: a stale or corrupt store can cost time, never correctness.
+//! inputs are the key). Disk values round-trip through the bit-exact
+//! [`crate::codec`] encodings, and any verification or decode failure
+//! silently falls back to recompute: a stale or corrupt store can cost
+//! time, never correctness.
 //!
 //! Configuration: `IMO_STORE=off|ro|rw` (default `rw`), `IMO_STORE_DIR`
 //! (default `<repo>/.imo-cache`).
@@ -62,6 +62,8 @@ use imo_util::pool::Pool;
 use imo_util::snapshot::SnapshotError;
 use imo_util::store::{Store, StoreMode};
 use imo_workloads::{by_name, Scale};
+
+use crate::codec::{decode_result, result_json};
 
 /// Process-wide memo cache: structural key → boxed result.
 static MEMO: OnceLock<Mutex<HashMap<String, Box<dyn Any + Send + Sync>>>> = OnceLock::new();
@@ -114,18 +116,6 @@ pub fn store() -> Option<&'static Store> {
             Some(Store::open(&dir, mode, code_fingerprint()))
         })
         .as_ref()
-}
-
-/// The `IMO_STORE` value subprocess workers should run with: shared
-/// consumers get the store read-only (only the coordinating process
-/// writes), or `off` when this process has it off.
-#[must_use]
-pub fn worker_store_env() -> &'static str {
-    if store().is_some() {
-        "ro"
-    } else {
-        "off"
-    }
 }
 
 fn l1() -> &'static Mutex<HashMap<String, Box<dyn Any + Send + Sync>>> {
@@ -182,7 +172,7 @@ where
 /// store before computing, and a computed value is persisted for future
 /// runs.
 ///
-/// `encode`/`decode` are the value's wire codec (the serve-layer
+/// `encode`/`decode` are the value's codec (the [`crate::codec`]
 /// `result_json`/`decode_result` pair for `RunResult`, say). A store hit
 /// that fails `decode` is rejected — counted, deleted in read-write mode —
 /// and falls back to recompute, so a stale or corrupt entry can never
@@ -411,20 +401,15 @@ impl CpuCell {
                 "cpu-run/{}/{:?}/{:?}/{:?}/{:?}",
                 self.workload, self.scale, self.machine, v.scheme, limits
             );
-            let result = memoized_stored(
-                &key,
-                crate::serve::result_json,
-                crate::serve::decode_result,
-                || {
-                    let program = program.get_or_insert_with(|| (spec.build)(self.scale));
-                    let inst = instrument(program, &v.scheme).unwrap_or_else(|e| {
-                        panic!("instrumenting {} as {:?}: {e}", self.workload, v.scheme)
-                    });
-                    self.machine.run_limited(&inst.program, limits).unwrap_or_else(|e| {
-                        panic!("{} on {}: {e}", self.workload, self.machine.name())
-                    })
-                },
-            );
+            let result = memoized_stored(&key, result_json, decode_result, || {
+                let program = program.get_or_insert_with(|| (spec.build)(self.scale));
+                let inst = instrument(program, &v.scheme).unwrap_or_else(|e| {
+                    panic!("instrumenting {} as {:?}: {e}", self.workload, v.scheme)
+                });
+                self.machine
+                    .run_limited(&inst.program, limits)
+                    .unwrap_or_else(|e| panic!("{} on {}: {e}", self.workload, self.machine.name()))
+            });
             raw.push((v.label, result));
         }
         normalize_experiment(self.workload, self.machine.name(), raw)
@@ -453,17 +438,7 @@ pub fn cpu_cells(names: &[&'static str], scale: Scale, variants: &[Variant]) -> 
 
 /// Fans a [`CpuCell`] list out across the pool, returning results in cell
 /// order.
-///
-/// When `IMO_SERVE_ADDR` names a running [`crate::serve`] job server, the
-/// cells are shipped there instead and the results stream back over TCP —
-/// byte-identical to the in-process path, which is exactly what
-/// `ci_gate --serve` asserts.
 pub fn run_cpu_cells(name: &'static str, cells: Vec<CpuCell>) -> Vec<ExperimentResult> {
-    if let Ok(addr) = std::env::var("IMO_SERVE_ADDR") {
-        if !addr.trim().is_empty() {
-            return crate::serve::run_cells_via_server(addr.trim(), name, cells);
-        }
-    }
     SweepSpec::new(name, cells).run(|_, cell| cell.run())
 }
 

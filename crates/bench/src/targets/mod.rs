@@ -21,7 +21,6 @@ pub mod ablation_checkpoints;
 pub mod ablation_mshr;
 pub mod attrib;
 pub mod branch_vs_exception;
-pub mod chaos_soak;
 pub mod fault_resilience;
 pub mod fig2;
 pub mod fig3;
@@ -71,7 +70,6 @@ pub fn registry() -> Vec<Target> {
         t("substrate", true, || substrate::payload(&substrate::compute())),
         t("obs_overhead", true, || obs_overhead::payload(&obs_overhead::compute())),
         t("simspeed", true, || simspeed::payload(&simspeed::compute())),
-        t("chaos_soak", true, || chaos_soak::payload(&chaos_soak::compute())),
     ]
 }
 
@@ -82,11 +80,11 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_complete() {
         let targets = registry();
-        assert_eq!(targets.len(), 16);
+        assert_eq!(targets.len(), 15);
         let mut names: Vec<_> = targets.iter().map(|t| t.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 16, "duplicate target names");
-        assert_eq!(targets.iter().filter(|t| t.wall_clock).count(), 4);
+        assert_eq!(names.len(), 15, "duplicate target names");
+        assert_eq!(targets.iter().filter(|t| t.wall_clock).count(), 3);
     }
 }

@@ -113,22 +113,27 @@ fn median_run_ns(samples: u32, mut f: impl FnMut() -> RunResult) -> u64 {
 ///
 /// The key namespace carries a per-invocation nonce, so pass 1 always misses
 /// (6 simulations) and pass 2 always hits (6 served from cache) — the
-/// returned deltas are exactly `requested: 12, simulated: 6` regardless of
-/// what else has used the process-wide cache. The cells deliberately go
-/// through the memory-only [`memoized`], never the on-disk store: the
-/// nonce restarts at 0 each process, so a persisted entry would turn pass
-/// 1's misses into disk hits across runs and break the exact counts.
+/// returned counts are exactly `requested: 12, simulated: 6`. They are
+/// counted here, around the memo calls, rather than read off the
+/// process-wide [`memo_stats`], so other threads using the cache at the
+/// same time (concurrent unit tests, say) cannot leak into them. The cells
+/// deliberately go through the memory-only [`memoized`], never the on-disk
+/// store: the nonce restarts at 0 each process, so a persisted entry would
+/// turn pass 1's misses into disk hits across runs and break the exact
+/// counts.
 fn dedup_proof() -> MemoStats {
     static NONCE: AtomicU64 = AtomicU64::new(0);
     let nonce = NONCE.fetch_add(1, Ordering::Relaxed);
     let spec = by_name(WORKLOAD).expect("workload exists");
     let program = (spec.build)(Scale::Test);
-    let before = memo_stats();
+    let (mut requested, mut simulated) = (0, 0);
     for _pass in 0..2 {
         for machine in both_machines() {
             for (label, scheme) in schemes() {
                 let key = format!("simspeed-dedup/{nonce}/{}/{label}", machine.name());
+                requested += 1;
                 memoized(&key, || {
+                    simulated += 1;
                     let inst = instrument(&program, &scheme).expect("instruments");
                     machine
                         .run_limited(&inst.program, RunLimits::default())
@@ -137,14 +142,7 @@ fn dedup_proof() -> MemoStats {
             }
         }
     }
-    let after = memo_stats();
-    MemoStats {
-        requested: after.requested - before.requested,
-        simulated: after.simulated - before.simulated,
-        served_disk: after.served_disk - before.served_disk,
-        disk_writes: after.disk_writes - before.disk_writes,
-        disk_rejected: after.disk_rejected - before.disk_rejected,
-    }
+    MemoStats { requested, simulated, served_disk: 0, disk_writes: 0, disk_rejected: 0 }
 }
 
 /// Runs every machine × scheme row (serial — these are wall-clock timings)

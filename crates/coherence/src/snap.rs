@@ -1,11 +1,10 @@
 //! Pause/resume checkpoints for the coherence simulator.
 //!
-//! The CPU models gained checkpointable sessions in the sweep-service work;
-//! this module gives the 16-processor coherence simulator the same power, so
-//! a coherence cell dispatched to an `imo-serve` worker can be preempted at
-//! an op boundary, shipped over the wire, and resumed — in the same process,
-//! a fresh one, or a respawned worker after a crash — with a bit-identical
-//! [`SimResult`] at the end.
+//! The CPU models have checkpointable sessions; this module gives the
+//! 16-processor coherence simulator the same power, so a coherence run can
+//! pause at an op boundary, cross a process boundary as JSON, and resume —
+//! in the same process or a fresh one — with a bit-identical [`SimResult`]
+//! at the end.
 //!
 //! A [`CohCheckpoint`] captures the full [`RunState`](crate::sim::RunState):
 //! the directory and every node's protection tables, both cache arrays per
@@ -349,8 +348,8 @@ mod tests {
         FaultPlan::new(c)
     }
 
-    /// Round-trips a checkpoint through its printed wire text, as the serve
-    /// worker protocol does.
+    /// Round-trips a checkpoint through its printed wire text, as a resume
+    /// in another process does.
     fn wire_trip(c: &CohCheckpoint) -> CohCheckpoint {
         let text = c.to_wire().compact();
         let parsed = imo_util::json::parse(&text).expect("wire parses");

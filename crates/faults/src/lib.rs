@@ -46,10 +46,6 @@
 
 use imo_util::rng::{mix64, SmallRng};
 
-pub mod chaos;
-
-pub use chaos::{ChaosConfig, ChaosEvent, ChaosPlan};
-
 /// A fault injected on one directory protocol message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterconnectFault {
@@ -280,7 +276,7 @@ impl FaultPlan {
 /// One uniform sample in `[0, 1)` from a per-draw split RNG. Splitting per
 /// draw (rather than advancing one generator) makes draw `n` a pure function
 /// of `(stream seed, n)`.
-pub(crate) fn draw(seed: u64, n: u64) -> (f64, SmallRng) {
+fn draw(seed: u64, n: u64) -> (f64, SmallRng) {
     let mut rng = SmallRng::seed_from_u64(mix64(seed, n));
     let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
     (u, rng)

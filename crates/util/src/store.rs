@@ -35,8 +35,8 @@
 //!   cold.
 //!
 //! The payloads themselves are opaque [`Json`] values; callers bring their
-//! own typed codecs (the bench crate reuses its serve-layer wire codecs,
-//! which encode every counter bit-exactly).
+//! own typed codecs (the bench crate's `codec` module encodes every counter
+//! bit-exactly).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -55,9 +55,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// Whether a [`Store`] may write (and repair) entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreMode {
-    /// Serve hits, never touch the filesystem beyond reads. Shared
-    /// consumers (job-server workers) use this so only the coordinating
-    /// process mutates the store.
+    /// Serve hits, never touch the filesystem beyond reads: a consumer
+    /// that must leave a shared store exactly as it found it.
     ReadOnly,
     /// Serve hits, persist new values, delete entries that fail
     /// verification so the following recompute repairs them.

@@ -3,8 +3,9 @@
 # tests — fully offline. The workspace has zero external dependencies, so
 # every step below must succeed without registry access.
 #
-# `cargo test` already runs every tests/*.rs target (fault_injection,
-# parallel_sweep, …); nothing is re-run individually. The example smoke
+# `cargo test --workspace` runs every tests/*.rs target (fault_injection,
+# parallel_sweep, …) and every member crate's unit tests; nothing is re-run
+# individually. The example smoke
 # list is derived from examples/*.rs so new examples are covered
 # automatically.
 set -euo pipefail
@@ -13,8 +14,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release --offline
 
-echo "== cargo test -q =="
-cargo test -q --offline
+echo "== cargo test -q --workspace =="
+cargo test -q --offline --workspace
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -32,12 +33,6 @@ echo "-- example: observe (in-order, cache+trap mask)"
 cargo run -q --release --offline --example observe -- compress in-order cache,trap > /dev/null
 echo "-- example: why_miss (xlisp pointer-chase attribution, in-order)"
 cargo run -q --release --offline --example why_miss -- xlisp in-order > /dev/null
-
-echo "== sweep job server smoke =="
-# Self-test: starts imo-serve on loopback, pushes a 4-cell shard (plus a
-# checkpoint-preempted shard) through TCP workers, diffs against the
-# in-process results bit-for-bit, and hits /status.
-cargo run -q --release --offline -p imo-serve -- --smoke --workers 2
 
 echo "== sweep-store gc smoke =="
 # Drops .imo-cache entries whose code fingerprint no longer matches the

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-2 verification: regenerate the full bench matrix (all 16 targets,
+# Tier-2 verification: regenerate the full bench matrix (all 15 targets,
 # which rewrites every BENCH_*.json at the repo root) and then run the
 # regression gate against the refreshed tree. Each step reports its
 # wall-clock time.
@@ -12,25 +12,12 @@
 #
 # Use this to (re)baseline after an intentional behaviour change:
 #   scripts/tier2.sh && git add BENCH_*.json
-#
-# IMO_SERVE=1 routes the ci_gate step through the sweep job server
-# (ci_gate --serve): cells are sharded across imo-serve worker
-# subprocesses over loopback TCP and must still reproduce the baselines
-# byte-identically.
-#
-# IMO_CHAOS=1 additionally runs a 10x-size chaos soak (10^5 synthetic
-# cells plus coherence and CPU sweeps under a saturated failure
-# schedule, IMO_CHAOS_CHECK=1 hard assertions) before the normal
-# matrix. The soak's proof bits — byte-identity with the clean serial
-# run, coherence recovery from a checkpoint, zero quarantines — panic
-# on violation. The default-size chaos_soak rerun in the matrix loop
-# below then restores the committed-size baseline for the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHES=(table1 fig2 fig3 handler100 branch_vs_exception table2 fig4 \
          fig4_sensitivity ablation_mshr ablation_checkpoints \
-         fault_resilience attrib substrate obs_overhead simspeed chaos_soak)
+         fault_resilience attrib substrate obs_overhead simspeed)
 
 total_start=$(date +%s%N)
 step() { # step <label> <cmd...>
@@ -43,13 +30,7 @@ step() { # step <label> <cmd...>
 }
 
 echo "== build bench harnesses =="
-step "build" cargo build --release --offline -p imo-bench -p imo-serve --benches --bins
-
-if [[ "${IMO_CHAOS:-}" == "1" ]]; then
-    echo "== chaos soak (10^5 cells, hard checks) =="
-    step "chaos soak" env IMO_CHAOS_CELLS=100000 IMO_CHAOS_CHECK=1 \
-        cargo bench -q --offline -p imo-bench --bench chaos_soak
-fi
+step "build" cargo build --release --offline -p imo-bench --benches --bins
 
 echo "== bench matrix (${#BENCHES[@]} targets) =="
 for b in "${BENCHES[@]}"; do
@@ -58,13 +39,8 @@ done
 
 echo "== ci_gate against the regenerated tree =="
 t0=$(date +%s%N)
-if [[ "${IMO_SERVE:-}" == "1" ]]; then
-    gate_out=$(cargo run -q --release --offline -p imo-bench --bin ci_gate -- \
-        --serve --stats-json ci_gate_stats.json)
-else
-    gate_out=$(cargo run -q --release --offline -p imo-bench --bin ci_gate -- \
-        --stats-json ci_gate_stats.json)
-fi
+gate_out=$(cargo run -q --release --offline -p imo-bench --bin ci_gate -- \
+    --stats-json ci_gate_stats.json)
 t1=$(date +%s%N)
 printf '%-28s %6d ms\n' "ci_gate" $(( (t1 - t0) / 1000000 ))
 

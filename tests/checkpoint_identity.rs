@@ -1,5 +1,6 @@
 //! Checkpoint identity: pausing a run at a cycle boundary and resuming it —
-//! in-process or from the JSON wire — is invisible to the simulation.
+//! in-process, from the JSON wire, or in a freshly spawned process — is
+//! invisible to the simulation.
 //!
 //! `RunLimits::stop_at(c)` makes a `SimSession` run halt at the first cycle
 //! boundary at or after `c` and emit a [`Checkpoint`] instead of a result.
@@ -10,6 +11,10 @@
 //! run reconciles exactly with the uninterrupted one (and therefore with
 //! `RunResult::cycles`).
 
+use std::collections::BTreeSet;
+use std::process::Command;
+
+use imo_bench::codec::result_json;
 use imo_faults::{FaultConfig, FaultPlan};
 use imo_util::check::Checker;
 use imo_util::ensure_eq;
@@ -17,6 +22,7 @@ use imo_util::snapshot::Snapshot;
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
 use informing_memops::cpu::{Checkpoint, Outcome, RunLimits, RunResult, SimSession};
+use informing_memops::isa::{Asm, BlockCache, Program};
 use informing_memops::obs::Recorder;
 use informing_memops::util::json::{parse, Json};
 use informing_memops::workloads::{all, by_name, Scale};
@@ -31,7 +37,7 @@ fn schemes() -> [(&'static str, Scheme); 3] {
 }
 
 /// Serializes a checkpoint to pretty JSON text and decodes it back, as a
-/// worker process handing work to another would.
+/// process handing the run to another would.
 fn wire_trip(ckpt: &Checkpoint) -> (Checkpoint, Json) {
     let text = ckpt.to_wire().pretty();
     let json = parse(&text).expect("checkpoint wire text parses");
@@ -273,4 +279,147 @@ fn random_stop_cycles_resume_identically() {
         ensure_eq!(resumed, baseline, "{name} on {} stopped at {stop}", machine.name());
         Ok(())
     });
+}
+
+/// Chained slices: every run pauses about 20 times, each checkpoint crosses
+/// the JSON wire, and each resume pauses again — both machines, plain and
+/// trap-instrumented. The CPU twin of `tests/coherence_checkpoint.rs`'s
+/// `chained_micro_slices_resume_bit_identically`.
+#[test]
+fn chained_slices_resume_bit_identically() {
+    let p = (by_name("ora").expect("workload exists").build)(Scale::Test);
+    let [none, trap, _] = schemes();
+    for (label, scheme) in [none, trap] {
+        let inst = instrument(&p, &scheme).expect("instruments");
+        for machine in [Machine::default_ooo(), Machine::default_in_order()] {
+            let name = format!("{label} on {}", machine.name());
+            let baseline =
+                machine.run_limited(&inst.program, RunLimits::default()).expect("uninterrupted");
+            let stride = (baseline.cycles / 20).max(1);
+            let session = || SimSession::new(&inst.program, machine.core_config());
+            let mut outcome =
+                session().limits(RunLimits::stop_at(stride)).run().expect("first slice");
+            let mut pauses = 0u32;
+            let resumed = loop {
+                match outcome {
+                    Outcome::Complete { result, .. } => break result,
+                    Outcome::Paused(ckpt) => {
+                        pauses += 1;
+                        let (back, _) = wire_trip(&ckpt);
+                        let stop = back.cycle() + stride;
+                        outcome = session()
+                            .limits(RunLimits::stop_at(stop))
+                            .resume(&back)
+                            .unwrap_or_else(|e| panic!("{name}: slice at {stop}: {e}"));
+                    }
+                }
+            };
+            assert!(pauses >= 15, "{name}: only {pauses} pauses");
+            assert_eq!(resumed, baseline, "{name}: chained slices must equal the straight run");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fresh-process resume: the checkpoint crosses a real process boundary.
+// ---------------------------------------------------------------------------
+
+/// The program the parent and the child both rebuild from constants:
+/// `compress` instrumented trap-10S, re-assembled with a label on every
+/// basic-block leader (`instrument` re-assembles from resolved addresses
+/// and keeps no labels). The checkpoint's `cfg_hash` hashes the program's
+/// `Debug` rendering, so with a label table this large any
+/// process-dependent iteration order would make the child reject the
+/// checkpoint: the resume doubles as a regression test for cross-process
+/// hash determinism.
+fn fresh_process_program() -> Program {
+    let p = (by_name("compress").expect("workload exists").build)(Scale::Test);
+    let [_, (_, trap), _] = schemes();
+    let inst = instrument(&p, &trap).expect("instruments");
+    let blocks = BlockCache::build(&inst.program, |_| 1);
+    let leaders: BTreeSet<u64> = blocks.blocks().iter().map(|b| b.addr()).collect();
+    let mut a = Asm::new();
+    for (addr, ins) in inst.program.iter() {
+        if leaders.contains(&addr) {
+            a.here(&format!("block_{addr:x}"));
+        }
+        a.emit(ins);
+    }
+    for &(addr, value) in inst.program.data() {
+        a.word(addr, value);
+    }
+    let program = a.assemble().expect("re-assembles");
+    assert_eq!(program.instrs(), inst.program.instrs(), "labels leave the text unchanged");
+    program
+}
+
+const CHILD_IN: &str = "IMO_CPU_CHILD_IN";
+const CHILD_OUT: &str = "IMO_CPU_CHILD_OUT";
+
+/// Child half of `fresh_process_resume_is_bit_identical`: under the normal
+/// test run (no env vars) this is a no-op. When re-executed by the parent it
+/// decodes one checkpoint per machine from `IMO_CPU_CHILD_IN`, resumes each
+/// in this — fresh — process, and writes the results' compact JSON to
+/// `IMO_CPU_CHILD_OUT`.
+#[test]
+fn fresh_process_resume_child() {
+    let (Ok(inp), Ok(out)) = (std::env::var(CHILD_IN), std::env::var(CHILD_OUT)) else {
+        return;
+    };
+    let text = std::fs::read_to_string(&inp).expect("child reads checkpoints");
+    let wire = parse(&text).expect("child parses checkpoints");
+    let ckpts = wire.as_arr().expect("a checkpoint per machine");
+    let program = fresh_process_program();
+    let machines = [Machine::default_ooo(), Machine::default_in_order()];
+    assert_eq!(ckpts.len(), machines.len());
+    let results = machines.iter().zip(ckpts).map(|(machine, j)| {
+        let ckpt = Checkpoint::from_wire(j).expect("child decodes checkpoint");
+        let outcome = SimSession::new(&program, machine.core_config())
+            .resume(&ckpt)
+            .unwrap_or_else(|e| panic!("child resume on {}: {e}", machine.name()));
+        result_json(&complete(outcome))
+    });
+    std::fs::write(&out, Json::arr(results).compact()).expect("child writes results");
+}
+
+/// Pause both machines mid-run, ship the checkpoints to a freshly spawned
+/// process, resume there, and demand the child's results are byte-identical
+/// to the uninterrupted in-process runs.
+#[test]
+fn fresh_process_resume_is_bit_identical() {
+    let program = fresh_process_program();
+    let labels = program.listing().lines().filter(|l| l.ends_with(':')).count();
+    assert!(labels >= 8, "fixture needs a real label table, has {labels} labels");
+    let mut ckpts = Vec::new();
+    let mut expected = Vec::new();
+    for machine in [Machine::default_ooo(), Machine::default_in_order()] {
+        let full = machine.run_limited(&program, RunLimits::default()).expect("completes");
+        let outcome = SimSession::new(&program, machine.core_config())
+            .limits(RunLimits::stop_at(full.cycles / 2))
+            .run()
+            .expect("bounded run pauses");
+        let Outcome::Paused(ckpt) = outcome else { panic!("midpoint is before the end") };
+        ckpts.push(ckpt.to_wire());
+        expected.push(result_json(&full));
+    }
+    let expected = Json::arr(expected).compact();
+
+    let dir = std::env::temp_dir();
+    let inp = dir.join(format!("imo_cpu_ckpt_{}.json", std::process::id()));
+    let out = dir.join(format!("imo_cpu_result_{}.json", std::process::id()));
+    std::fs::write(&inp, Json::arr(ckpts).pretty()).expect("parent writes checkpoints");
+    let _ = std::fs::remove_file(&out);
+
+    let status = Command::new(std::env::current_exe().expect("current_exe"))
+        .args(["--exact", "fresh_process_resume_child", "--nocapture"])
+        .env(CHILD_IN, &inp)
+        .env(CHILD_OUT, &out)
+        .status()
+        .expect("spawning the child test process");
+    assert!(status.success(), "child resume process failed");
+
+    let got = std::fs::read_to_string(&out).expect("child wrote results");
+    assert_eq!(got, expected, "fresh-process resume must be byte-identical");
+    let _ = std::fs::remove_file(&inp);
+    let _ = std::fs::remove_file(&out);
 }

@@ -12,6 +12,7 @@
 
 use std::process::Command;
 
+use imo_bench::codec::sim_result_json;
 use informing_memops::coherence::{
     simulate_faulty, CohCheckpoint, CohOutcome, CohSession, MachineParams, Scheme,
 };
@@ -47,7 +48,7 @@ fn stormy_plan(seed: u64) -> FaultPlan {
 }
 
 /// Serializes a checkpoint to pretty JSON text and decodes it back, as a
-/// worker process handing work to another would.
+/// process handing the run to another would.
 fn wire_trip(ckpt: &CohCheckpoint) -> (CohCheckpoint, Json) {
     let text = ckpt.to_wire().pretty();
     let json = parse(&text).expect("checkpoint wire text parses");
@@ -170,22 +171,18 @@ fn fresh_process_resume_child() {
         CohOutcome::Complete(r) => r,
         CohOutcome::Paused(_) => panic!("child: unbounded resume must finish"),
     };
-    let json = imo_bench::serve::cell_result_json(&imo_bench::serve::CellResult::Coh(r));
-    std::fs::write(&out, json.compact()).expect("child writes result");
+    std::fs::write(&out, sim_result_json(&r).compact()).expect("child writes result");
 }
 
 /// Pause mid-protocol (with retry traffic in flight), ship the checkpoint to
 /// a freshly spawned process, resume there, and demand the child's result is
-/// byte-identical to the uninterrupted in-process run — the exact handoff an
-/// `imo-serve` worker respawn performs after a crash.
+/// byte-identical to the uninterrupted in-process run.
 #[test]
 fn fresh_process_resume_is_bit_identical() {
     let (trace, scheme, params, plan) = fresh_process_fixture();
     let full = simulate_faulty(&trace, scheme, &params, &plan).expect("completes");
     assert!(full.retries > 0, "fixture must exercise the retry path");
-    let expected =
-        imo_bench::serve::cell_result_json(&imo_bench::serve::CellResult::Coh(full.clone()))
-            .compact();
+    let expected = sim_result_json(&full).compact();
 
     let sess = CohSession::new(&trace, scheme, params).faults(plan);
     let ckpt = match sess.stop_at(full.ops / 2).run().expect("bounded run pauses") {

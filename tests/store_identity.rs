@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use imo_bench::serve::{decode_result, result_json};
+use imo_bench::codec::{decode_result, result_json};
 use informing_memops::util::json::Json;
 use informing_memops::util::rng::SmallRng;
 use informing_memops::util::snapshot;
@@ -39,7 +39,7 @@ impl Drop for TempDir {
 }
 
 /// A real simulator result payload, exactly as the sweep store persists it:
-/// `ora` at test scale through the serve-layer `RunResult` wire codec.
+/// `ora` at test scale through the store's `RunResult` codec.
 fn real_run_payload() -> Json {
     use imo_core::instrument::{instrument, Scheme};
     use imo_core::Machine;
