@@ -12,7 +12,9 @@
 //! * **Issue** — oldest-ready-first within per-class functional-unit limits
 //!   (2 INT, 2 FP, 1 branch, 1 memory). True (RAW) dependences only, as
 //!   renaming removes the false ones. Memory operations contend for cache
-//!   banks, MSHRs and main-memory bandwidth in `imo-mem`.
+//!   banks, MSHRs and main-memory bandwidth in `imo-mem`. Event-driven runs
+//!   park an entry whose producer has not issued on that producer's wakeup
+//!   list instead of re-polling it every cycle (DESIGN.md §10.5).
 //! * **Graduate** — up to `issue_width` completed instructions per cycle, in
 //!   order. Stores probe/write at graduation through a finite write buffer.
 //!   Graduation-slot accounting follows the paper's Figure 2 methodology.
@@ -23,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use imo_isa::{BlockCache, FuClass, Instr, MemKind, Program};
+use imo_isa::{BlockCache, Instr, InstrMeta, Program, NO_REG};
 use imo_mem::{HitLevel, MemoryHierarchy, MshrFile, MshrId};
 use imo_obs::{CpiCategory, CpiStack, EventKind, NoObs, Observer, Recorder};
 use imo_util::json::Json;
@@ -52,31 +54,43 @@ enum Dep {
     Outcome(u64),
 }
 
+impl Dep {
+    fn seq(self) -> u64 {
+        match self {
+            Dep::Value(s) | Dep::Outcome(s) => s,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
     f: Fetched,
+    /// Pre-decoded scheduling metadata of `f.instr`, copied from the block
+    /// cache at dispatch.
+    m: InstrMeta,
     state: EState,
     deps: [Option<Dep>; 3],
     complete_cycle: u64,
     /// Cycle the hit/miss outcome (memory) or direction (branch) is known.
     outcome_cycle: u64,
-    uses_checkpoint: bool,
     mshr: Option<MshrId>,
     dispatch_cycle: u64,
     issue_cycle: u64,
 }
 
-fn uses_checkpoint(f: &Fetched, trap_model: TrapModel) -> bool {
-    match f.instr {
-        Instr::Branch { .. } | Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => true,
-        Instr::Load { kind, .. } | Instr::Store { kind, .. } => {
-            trap_model == TrapModel::Branch && kind == MemKind::Informing
-        }
-        _ => false,
+/// The [`InstrMeta`] flags of instructions that hold a rename shadow
+/// checkpoint from dispatch until their outcome is known: every conditional
+/// and condition-code branch, and informing memory operations when the trap
+/// is modelled as a branch.
+fn checkpoint_flags(trap_model: TrapModel) -> u8 {
+    let branches = InstrMeta::COND_BRANCH | InstrMeta::BMISS | InstrMeta::BMISS_MEM;
+    match trap_model {
+        TrapModel::Branch => branches | InstrMeta::INFORMING,
+        TrapModel::Exception => branches,
     }
 }
 
-fn entry_json(e: &Entry) -> Json {
+fn entry_json(e: &Entry, ckpt_flags: u8) -> Json {
     let deps = e.deps.iter().flatten().map(|d| {
         let (kind, seq) = match *d {
             Dep::Value(s) => (0, s),
@@ -97,14 +111,19 @@ fn entry_json(e: &Entry) -> Json {
         ("deps", Json::arr(deps)),
         ("complete", snapshot::u64_json(e.complete_cycle)),
         ("outcome", snapshot::u64_json(e.outcome_cycle)),
-        ("ckpt", Json::Bool(e.uses_checkpoint)),
+        ("ckpt", Json::Bool(e.m.flags & ckpt_flags != 0)),
         ("mshr", snapshot::opt_u64_json(e.mshr.map(|id| id.raw() as u64))),
         ("dispatch", snapshot::u64_json(e.dispatch_cycle)),
         ("issue", snapshot::u64_json(e.issue_cycle)),
     ])
 }
 
-fn decode_entry(program: &Program, cfg: &OooConfig, j: &Json) -> Result<Entry, SnapshotError> {
+fn decode_entry(
+    program: &Program,
+    cache: &BlockCache,
+    cfg: &OooConfig,
+    j: &Json,
+) -> Result<Entry, SnapshotError> {
     let deps_wire = snapshot::field(j, "deps")?.as_arr().ok_or(SnapshotError::Bad("deps"))?;
     if deps_wire.len() > 3 {
         return Err(SnapshotError::Bad("deps"));
@@ -123,8 +142,16 @@ fn decode_entry(program: &Program, cfg: &OooConfig, j: &Json) -> Result<Entry, S
         Some(_) => return Err(SnapshotError::Bad("mshr")),
         None => None,
     };
+    let f = ckpt::decode_fetched(program, snapshot::field(j, "f")?)?;
+    let m = *cache.meta_at(f.pc).ok_or(SnapshotError::Bad("pc"))?;
+    // The checkpoint need is derived from the instruction; the wire copy
+    // must agree with it.
+    if snapshot::get_bool(j, "ckpt")? != (m.flags & checkpoint_flags(cfg.trap_model) != 0) {
+        return Err(SnapshotError::Bad("ckpt"));
+    }
     Ok(Entry {
-        f: ckpt::decode_fetched(program, snapshot::field(j, "f")?)?,
+        f,
+        m,
         state: match snapshot::get_u64(j, "state")? {
             0 => EState::Waiting,
             1 => EState::Issued,
@@ -134,14 +161,47 @@ fn decode_entry(program: &Program, cfg: &OooConfig, j: &Json) -> Result<Entry, S
         deps,
         complete_cycle: snapshot::get_u64(j, "complete")?,
         outcome_cycle: snapshot::get_u64(j, "outcome")?,
-        uses_checkpoint: match snapshot::field(j, "ckpt")? {
-            Json::Bool(b) => *b,
-            _ => return Err(SnapshotError::Bad("ckpt")),
-        },
         mshr,
         dispatch_cycle: snapshot::get_u64(j, "dispatch")?,
         issue_cycle: snapshot::get_u64(j, "issue")?,
     })
+}
+
+/// Rejects a decoded instruction window that dispatch could not have built.
+/// The issue stage finds producers at `seq - rob_base` and wakeup words at
+/// `seq & 63`, so it relies on all of these: the ROB fits its configured
+/// size, its seqs run contiguously from `rob_base`, and every dependency
+/// names an older seq; the fetch queue continues from the ROB tail and
+/// holds less than `3 × issue_width` entries (fetch runs only below
+/// `2 × issue_width` and adds at most `issue_width`); and every rename-map
+/// entry names a dispatched instruction.
+fn check_window(
+    cfg: &OooConfig,
+    rob: &VecDeque<Entry>,
+    rob_base: u64,
+    fetch_q: &VecDeque<Fetched>,
+    last_writer: &[Option<u64>; 64],
+) -> Result<(), SnapshotError> {
+    let rob_ok = rob.len() <= cfg.rob_entries as usize
+        && rob.iter().enumerate().all(|(i, e)| {
+            e.f.seq.checked_sub(rob_base) == Some(i as u64)
+                && e.deps.iter().flatten().all(|d| d.seq() < e.f.seq)
+        });
+    if !rob_ok {
+        return Err(SnapshotError::Bad("rob"));
+    }
+    let tail = rob_base.saturating_add(rob.len() as u64);
+    let fetch_q_ok = fetch_q.len() < 3 * cfg.issue_width as usize
+        && fetch_q.iter().enumerate().all(|(i, f)| {
+            f.seq.checked_sub(tail) == Some(i as u64) && f.cc_dep.is_none_or(|c| c < f.seq)
+        });
+    if !fetch_q_ok {
+        return Err(SnapshotError::Bad("fetch_q"));
+    }
+    if last_writer.iter().flatten().any(|&w| w >= tail) {
+        return Err(SnapshotError::Bad("last_writer"));
+    }
+    Ok(())
 }
 
 /// Simulates `program` to completion on the out-of-order model.
@@ -256,12 +316,13 @@ fn encode_loop(
     graduated_total: u64,
     slots: SlotBreakdown,
     cpi: &CpiStack,
+    ckpt_flags: u8,
 ) -> Json {
     Json::obj([
         ("hier", hier.to_wire()),
         ("fe", fe.encode()),
         ("mshrs", mshrs.to_wire()),
-        ("rob", Json::arr(rob.iter().map(entry_json))),
+        ("rob", Json::arr(rob.iter().map(|e| entry_json(e, ckpt_flags)))),
         ("rob_base", snapshot::u64_json(rob_base)),
         ("fetch_q", Json::arr(fetch_q.iter().map(ckpt::fetched_json))),
         ("last_writer", Json::arr(last_writer.iter().map(|w| snapshot::opt_u64_json(*w)))),
@@ -323,6 +384,11 @@ fn run_with<O: Observer>(
     let mut graduated_total: u64;
     let mut slots;
     let mut cpi;
+    // The pre-decoded block table drives dispatch, issue and graduation in
+    // both modes; only fast runs also hand it to the front end's batched
+    // fetch (below).
+    let cache = BlockCache::build(program, |i| cfg.latency(i));
+    let ckpt_flags = checkpoint_flags(cfg.trap_model);
     if let Some(body) = resume {
         hier = MemoryHierarchy::from_wire(snapshot::field(body, "hier")?)?;
         fe = FrontEnd::restore(
@@ -338,7 +404,7 @@ fn run_with<O: Observer>(
             .as_arr()
             .ok_or(SnapshotError::Bad("rob"))?
             .iter()
-            .map(|j| decode_entry(program, cfg, j))
+            .map(|j| decode_entry(program, &cache, cfg, j))
             .collect::<Result<_, _>>()?;
         rob_base = snapshot::get_u64(body, "rob_base")?;
         fetch_q = snapshot::field(body, "fetch_q")?
@@ -361,6 +427,7 @@ fn run_with<O: Observer>(
         for (slot, w) in last_writer.iter_mut().zip(lw) {
             *slot = w;
         }
+        check_window(cfg, &rob, rob_base, &fetch_q, &last_writer)?;
         resolve_q = ckpt::decode_wakeup(snapshot::field(body, "resolve_q")?, "resolve_q", Ok)?;
         ckpt_release_q = ckpt::decode_wakeup(
             snapshot::field(body, "ckpt_release_q")?,
@@ -412,31 +479,20 @@ fn run_with<O: Observer>(
     // Programs without condition-code branches never create `Dep::Outcome`
     // edges, so their wakeup horizon can skip the per-entry outcome-cycle
     // candidates (the common case on the figure 2/3 trap schemes).
-    let has_cc_consumers = program
-        .instrs()
-        .iter()
-        .any(|i| matches!(i, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }));
+    let has_cc_consumers =
+        cache.meta().iter().any(|m| m.flags & (InstrMeta::BMISS | InstrMeta::BMISS_MEM) != 0);
 
     let width = cfg.issue_width as u64;
     let mut done = false;
 
     // Fast mode: event-driven runs — observed, traced or not — consume
-    // pre-decoded blocks in the front end and may use the dense-streak
-    // liveness shortcut in the advance phase. Tick-accurate runs are the
-    // unchanged bit-identity reference.
+    // pre-decoded blocks in the front end and wake consumers instead of
+    // polling them. Tick-accurate runs are the unchanged bit-identity
+    // reference.
     let fast = !limits.force_tick_accurate;
-    let cache = fast.then(|| BlockCache::build(program, |i| cfg.latency(i)));
-    if let Some(cache) = &cache {
-        fe.attach_blocks(cache);
+    if fast {
+        fe.attach_blocks(&cache);
     }
-    // Dense-streak shortcut state: after `DENSE_STREAK` consecutive
-    // no-progress horizon folds that each landed on the very next cycle, the
-    // fold is provably wasted work while the machine stays dense — skip it
-    // and tick, re-validating with a full fold every `DENSE_WINDOW` ticks.
-    const DENSE_STREAK: u32 = 4;
-    const DENSE_WINDOW: u32 = 32;
-    let mut dense_streak: u32 = 0;
-    let mut dense_ticks: u32 = 0;
 
     // ROB occupancy masks (fast mode, ROBs that fit a word): bit `i` of
     // `waiting_mask`/`issued_mask` set ⇔ `rob[i]` is Waiting/Issued. The
@@ -446,6 +502,16 @@ fn run_with<O: Observer>(
     let masks_on = fast && cfg.rob_entries as usize <= 64;
     let mut waiting_mask: u64 = 0;
     let mut issued_mask: u64 = 0;
+    // Wakeup lists (fast mode): a Waiting entry whose dependency walk meets
+    // a producer that is still Waiting parks — bit `i` of `parked_mask`
+    // (ROB position) and bit `c_seq & 63` of the producer's word
+    // `waiters[p_seq & 63]`. Only the issue stage moves an entry out of
+    // Waiting, so a parked consumer stays blocked until that producer
+    // issues, and the producer's issue drains its word. Select skips parked
+    // entries. Parks start empty on resume: every entry re-parks on its
+    // first walk, so they live outside the checkpoint like the hints.
+    let mut parked_mask: u64 = 0;
+    let mut waiters = [0u64; 64];
     if masks_on {
         for (i, e) in rob.iter().enumerate() {
             match e.state {
@@ -463,14 +529,8 @@ fn run_with<O: Observer>(
     // always safe, which is why the hints live outside the checkpoint.
     let mut issue_hints = [0u64; 64];
 
-    let fu_cap = |c: FuClass| -> u32 {
-        match c {
-            FuClass::Int => cfg.int_units,
-            FuClass::Fp => cfg.fp_units,
-            FuClass::Branch => cfg.branch_units,
-            FuClass::Mem => cfg.mem_units,
-        }
-    };
+    // Issue slots per functional-unit class, indexed by `InstrMeta::fu`.
+    let fu_limit = [cfg.int_units, cfg.fp_units, cfg.branch_units, cfg.mem_units];
 
     // Earliest cycle at which `dep` can possibly become ready: 0 when it is
     // ready now, a provable future lower bound otherwise. Readiness means the
@@ -480,9 +540,10 @@ fn run_with<O: Observer>(
     // future bound is a pure filter for the issue stage: re-evaluating at or
     // after it gives the truth, so skipping the dep walk before it is exact.
     //
-    // * A `Waiting` producer cannot ready a consumer this cycle (issuing now
-    //   yields completion/outcome cycles strictly in the future, and
-    //   graduation requires completion first), hence `now + 1`.
+    // * A `Waiting` producer cannot ready a consumer until it issues
+    //   (issuing yields completion/outcome cycles strictly in the future,
+    //   and graduation requires completion first), so no cycle is a bound:
+    //   `UNISSUED`, on which the issue stage parks the consumer.
     // * An `Issued` producer's `complete_cycle`/`outcome_cycle` are fixed at
     //   issue; during the issue stage they are strictly future (stage 3
     //   already retired anything due). Graduation — which also readies
@@ -490,6 +551,7 @@ fn run_with<O: Observer>(
     // * A `Complete` producer may still leave the ROB next cycle, readying
     //   an outcome consumer before `outcome_cycle`, so only `now + 1` is
     //   provable there.
+    const UNISSUED: u64 = u64::MAX;
     let dep_bound = |rob: &VecDeque<Entry>, rob_base: u64, dep: Dep, now: u64| -> u64 {
         let (seq, outcome) = match dep {
             Dep::Value(s) => (s, false),
@@ -501,7 +563,7 @@ fn run_with<O: Observer>(
         match rob.get((seq - rob_base) as usize) {
             None => 0,
             Some(p) => match p.state {
-                EState::Waiting => now + 1,
+                EState::Waiting => UNISSUED,
                 EState::Issued => {
                     if outcome {
                         p.outcome_cycle.min(p.complete_cycle + 1)
@@ -529,7 +591,7 @@ fn run_with<O: Observer>(
             return CpiCategory::Handler;
         }
         if let Some(h) = rob.front() {
-            if h.state != EState::Complete && h.f.instr.is_data_ref() {
+            if h.state != EState::Complete && h.m.flags & InstrMeta::DATA_REF != 0 {
                 if let Some(p) = h.f.probe {
                     match p.level {
                         HitLevel::L2 => return CpiCategory::L1Miss,
@@ -566,6 +628,7 @@ fn run_with<O: Observer>(
                     graduated_total,
                     slots,
                     &cpi,
+                    ckpt_flags,
                 ),
             });
         }
@@ -591,7 +654,7 @@ fn run_with<O: Observer>(
             // Stores drain through the write buffer at graduation. Any free
             // slot is as good as any other, so the pool hands out the
             // earliest-released one (see `ReleasePool`).
-            if matches!(head.f.instr, Instr::Store { .. }) {
+            if head.m.kind == InstrMeta::KIND_STORE {
                 if !wb_release.has_free(now) {
                     break; // write buffer full: stall graduation
                 }
@@ -605,6 +668,7 @@ fn run_with<O: Observer>(
             // the shift drops exactly its slot.
             waiting_mask >>= 1;
             issued_mask >>= 1;
+            parked_mask >>= 1;
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(InstrTrace {
                     seq: e.f.seq,
@@ -625,7 +689,7 @@ fn run_with<O: Observer>(
                 if matches!(e.f.instr, Instr::JumpMhrr) {
                     obs.record(now, EventKind::TrapReturn { seq: e.f.seq });
                 }
-                if matches!(e.f.instr, Instr::Load { .. }) && e.issue_cycle != u64::MAX {
+                if e.m.kind == InstrMeta::KIND_LOAD && e.issue_cycle != u64::MAX {
                     obs.observe("cpu.load_to_use", e.complete_cycle.saturating_sub(e.issue_cycle));
                 }
                 if e.f.informing_trap {
@@ -637,7 +701,7 @@ fn run_with<O: Observer>(
             if e.f.resolve == Resolve::AtGraduate {
                 fe.resolve(e.f.seq, now, cfg.redirect_penalty);
             }
-            if matches!(e.f.instr, Instr::Halt) {
+            if e.m.kind == InstrMeta::KIND_HALT {
                 done = true;
             }
             graduated_total += 1;
@@ -652,7 +716,7 @@ fn run_with<O: Observer>(
             let lost = width - g;
             let head_is_miss_stall = rob.front().is_some_and(|h| {
                 h.state != EState::Complete
-                    && h.f.instr.is_data_ref()
+                    && h.m.flags & InstrMeta::DATA_REF != 0
                     && h.f.probe.is_some_and(|p| p.level.is_l1_miss())
             });
             if head_is_miss_stall {
@@ -712,17 +776,10 @@ fn run_with<O: Observer>(
 
         // ---- 6. Issue (oldest-ready-first within FU limits) ----
         let mut fu_used = [0u32; 4];
-        let fu_idx = |c: FuClass| -> usize {
-            match c {
-                FuClass::Int => 0,
-                FuClass::Fp => 1,
-                FuClass::Branch => 2,
-                FuClass::Mem => 3,
-            }
-        };
-        // With masks on, visit only Waiting entries (ascending index, same
-        // order as the full scan); otherwise walk the whole ROB.
-        let mut wscan = waiting_mask;
+        // With masks on, visit only Waiting entries that are not parked
+        // (ascending index, same order as the full scan); otherwise walk the
+        // whole ROB.
+        let mut wscan = waiting_mask & !parked_mask;
         let mut iscan = 0usize;
         loop {
             let i = if masks_on {
@@ -742,72 +799,94 @@ fn run_with<O: Observer>(
                 iscan += 1;
                 iscan - 1
             };
-            // Evaluate the issue conditions; when a timing condition fails,
+            // Evaluate the issue conditions. A producer that has not issued
+            // blocks the entry until it does: fast mode parks the entry on
+            // that producer's wakeup list. When a timing condition fails,
             // record the provable lower bound so later cycles skip the walk.
-            let (can, stall_until) = {
-                let e = &rob[i];
-                if e.state != EState::Waiting {
-                    (false, 0)
-                } else {
-                    let mut bound = e.f.fetch_cycle + cfg.frontend_depth;
-                    for &d in e.deps.iter().flatten() {
-                        bound = bound.max(dep_bound(&rob, rob_base, d, now));
+            let e = &rob[i];
+            if e.state != EState::Waiting {
+                continue;
+            }
+            let mut bound = e.f.fetch_cycle + cfg.frontend_depth;
+            let mut blocker = None;
+            for &d in e.deps.iter().flatten() {
+                match dep_bound(&rob, rob_base, d, now) {
+                    UNISSUED => {
+                        blocker = Some(d.seq());
+                        break;
                     }
-                    if bound > now {
-                        (false, bound)
-                    } else {
-                        let fu = e.f.instr.fu_class();
-                        // Structural hazards clear next cycle: no useful bound.
-                        (fu_used[fu_idx(fu)] < fu_cap(fu), 0)
-                    }
+                    b => bound = bound.max(b),
                 }
-            };
-            if !can {
-                if masks_on && stall_until > now {
-                    issue_hints[((rob_base + i as u64) & 63) as usize] = stall_until;
+            }
+            if let Some(p) = blocker {
+                if masks_on {
+                    waiters[(p & 63) as usize] |= 1u64 << (e.f.seq & 63);
+                    parked_mask |= 1u64 << i;
                 }
                 continue;
             }
-            let fu = rob[i].f.instr.fu_class();
-            fu_used[fu_idx(fu)] += 1;
+            if bound > now {
+                if masks_on {
+                    issue_hints[(e.f.seq & 63) as usize] = bound;
+                }
+                continue;
+            }
+            let m = e.m;
+            let fu = m.fu as usize;
+            if fu_used[fu] >= fu_limit[fu] {
+                continue; // structural hazards clear next cycle: no useful bound
+            }
+            fu_used[fu] += 1;
             progress = true;
+
+            let (complete, outcome, alloc_mshr) = match m.kind {
+                InstrMeta::KIND_LOAD => {
+                    let probe = e.f.probe.expect("loads probe");
+                    let t = hier.schedule_data(probe, now);
+                    let outcome = t.start + cfg.hier.l1_latency;
+                    (
+                        t.complete,
+                        outcome,
+                        probe.level.is_l1_miss().then_some((probe.line, t.complete)),
+                    )
+                }
+                InstrMeta::KIND_PREFETCH => {
+                    if let Some(probe) = e.f.probe {
+                        let _ = hier.schedule_data(probe, now);
+                    }
+                    (now + 1, now + 1, None)
+                }
+                InstrMeta::KIND_STORE => {
+                    // Address generation now; the cache is probed at
+                    // graduation. The outcome (for the condition code) is
+                    // known after an early tag probe.
+                    (now + 1, now + cfg.hier.l1_latency, None)
+                }
+                _ => {
+                    let lat = u64::from(m.lat);
+                    (now + lat, now + lat, None)
+                }
+            };
             if masks_on {
                 waiting_mask &= !(1u64 << i);
                 issued_mask |= 1u64 << i;
-            }
-
-            // Compute timing (separate scope to appease the borrow checker).
-            let (complete, outcome, alloc_mshr) = {
-                let e = &rob[i];
-                match e.f.instr {
-                    Instr::Load { .. } => {
-                        let probe = e.f.probe.expect("loads probe");
-                        let t = hier.schedule_data(probe, now);
-                        let outcome = t.start + cfg.hier.l1_latency;
-                        (
-                            t.complete,
-                            outcome,
-                            probe.level.is_l1_miss().then_some((probe.line, t.complete)),
-                        )
-                    }
-                    Instr::Prefetch { .. } => {
-                        if let Some(probe) = e.f.probe {
-                            let _ = hier.schedule_data(probe, now);
-                        }
-                        (now + 1, now + 1, None)
-                    }
-                    Instr::Store { .. } => {
-                        // Address generation now; the cache is probed at
-                        // graduation. The outcome (for the condition code) is
-                        // known after an early tag probe.
-                        (now + 1, now + cfg.hier.l1_latency, None)
-                    }
-                    ref other => {
-                        let lat = cfg.latency(other);
-                        (now + lat, now + lat, None)
-                    }
+                // Wake this producer's parked consumers. `min(complete,
+                // outcome)` bounds both dependency kinds from below (see
+                // `dep_bound`), so it seeds their hints. A consumer sits at
+                // a higher ROB index than its producer, so it joins the rest
+                // of this cycle's scan, as the polling scan would visit it.
+                let mut woken = std::mem::take(&mut waiters[(e.f.seq & 63) as usize]);
+                while woken != 0 {
+                    let c_slot = woken.trailing_zeros() as u64;
+                    woken &= woken - 1;
+                    // The ROB spans at most 64 contiguous seqs, so the
+                    // consumer's seq residue gives its position.
+                    let c = (c_slot.wrapping_sub(rob_base) & 63) as usize;
+                    parked_mask &= !(1u64 << c);
+                    wscan |= 1u64 << c;
+                    issue_hints[c_slot as usize] = complete.min(outcome);
                 }
-            };
+            }
             let e = &mut rob[i];
             e.state = EState::Issued;
             e.issue_cycle = now;
@@ -826,7 +905,7 @@ fn run_with<O: Observer>(
                     }
                 }
             }
-            if e.uses_checkpoint {
+            if m.flags & ckpt_flags != 0 {
                 ckpt_release_q.push(e.outcome_cycle, ());
             }
             if e.f.resolve == Resolve::AtExecute {
@@ -841,7 +920,8 @@ fn run_with<O: Observer>(
                 break;
             }
             let Some(f) = fetch_q.front() else { break };
-            let needs_ckpt = uses_checkpoint(f, cfg.trap_model);
+            let m = *cache.meta_at(f.pc).expect("fetched pcs are in the text segment");
+            let needs_ckpt = m.flags & ckpt_flags != 0;
             if needs_ckpt && checkpoints_in_use >= cfg.max_checkpoints {
                 break;
             }
@@ -851,8 +931,11 @@ fn run_with<O: Observer>(
             }
             let mut deps: [Option<Dep>; 3] = [None; 3];
             let mut n = 0;
-            for src in f.instr.sources() {
-                if let Some(seq) = last_writer[src.logical()] {
+            for src in [m.src1, m.src2] {
+                if src == NO_REG {
+                    continue;
+                }
+                if let Some(seq) = last_writer[src as usize] {
                     deps[n] = Some(Dep::Value(seq));
                     n += 1;
                 }
@@ -860,21 +943,22 @@ fn run_with<O: Observer>(
             if let Some(cc) = f.cc_dep {
                 deps[n] = Some(Dep::Outcome(cc));
             }
-            if let Some(dst) = f.instr.dest() {
-                last_writer[dst.logical()] = Some(f.seq);
+            if m.dest != NO_REG {
+                last_writer[m.dest as usize] = Some(f.seq);
             }
             debug_assert_eq!(f.seq, rob_base + rob.len() as u64, "seq contiguity");
             if masks_on {
                 waiting_mask |= 1u64 << rob.len();
                 issue_hints[(f.seq & 63) as usize] = 0;
+                waiters[(f.seq & 63) as usize] = 0;
             }
             rob.push_back(Entry {
                 f,
+                m,
                 state: EState::Waiting,
                 deps,
                 complete_cycle: u64::MAX,
                 outcome_cycle: u64::MAX,
-                uses_checkpoint: needs_ckpt,
                 mshr: None,
                 dispatch_cycle: now,
                 issue_cycle: u64::MAX,
@@ -916,34 +1000,7 @@ fn run_with<O: Observer>(
         // ---- 10. Advance time (with fast-forward over quiet cycles) ----
         if progress {
             now += 1;
-            dense_streak = 0;
-            dense_ticks = 0;
         } else {
-            // Dense-streak shortcut (fast mode only): the horizon fold below
-            // is O(ROB), and in wakeup-dense regions it keeps answering
-            // "the very next cycle". Once `DENSE_STREAK` consecutive folds
-            // have done so, skip the fold and tick — bit-identical, because
-            // advancing one cycle is exactly what `now = next` would have
-            // done. Safe, because the O(1) liveness probe proves a future
-            // event exists: a set `issued_mask` bit is an entry stage 3 did
-            // not retire this iteration (its `complete_cycle` is strictly
-            // future), and each queue was fully drained of entries ≤ `now`,
-            // so any remaining head is strictly in the future. Hence the
-            // fold could not have reported a deadlock.
-            // A full fold re-validates the streak every `DENSE_WINDOW` ticks.
-            if fast
-                && dense_streak >= DENSE_STREAK
-                && dense_ticks < DENSE_WINDOW
-                && ((masks_on && issued_mask != 0)
-                    || fills.next_due().is_some()
-                    || resolve_q.next_due().is_some()
-                    || ckpt_release_q.next_due().is_some())
-            {
-                dense_ticks += 1;
-                now += 1;
-                continue;
-            }
-            dense_ticks = 0;
             // Fold every wakeup source into the earliest *future* event;
             // anything at or before `now` is not a wake-up source (it
             // already had its chance this cycle).
@@ -977,7 +1034,7 @@ fn run_with<O: Observer>(
                 h.consider(fe.resume_at());
             }
             if rob.front().is_some_and(|hd| {
-                hd.state == EState::Complete && matches!(hd.f.instr, Instr::Store { .. })
+                hd.state == EState::Complete && hd.m.kind == InstrMeta::KIND_STORE
             }) {
                 // Graduation blocked on the write buffer.
                 h.consider_opt(wb_release.next_release());
@@ -992,18 +1049,13 @@ fn run_with<O: Observer>(
                 continue;
             }
             let skipped = next - now - 1;
-            if skipped == 0 {
-                dense_streak += 1;
-            } else {
-                dense_streak = 0;
-            }
             if skipped > 0 {
                 // Attribute the skipped slots exactly as the per-cycle
                 // accounting would have.
                 let lost = skipped * width;
                 let head_is_miss_stall = rob.front().is_some_and(|hd| {
                     hd.state != EState::Complete
-                        && hd.f.instr.is_data_ref()
+                        && hd.m.flags & InstrMeta::DATA_REF != 0
                         && hd.f.probe.is_some_and(|p| p.level.is_l1_miss())
                 });
                 if head_is_miss_stall {

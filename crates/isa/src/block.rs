@@ -64,6 +64,9 @@ impl InstrMeta {
     pub const BMISS: u8 = 1 << 5;
     /// [`Instr::Halt`].
     pub const HALT: u8 = 1 << 6;
+    /// [`Instr::BranchOnMemMiss`] — like [`InstrMeta::BMISS`], but on the
+    /// previous data reference's secondary-cache outcome.
+    pub const BMISS_MEM: u8 = 1 << 7;
 
     /// `kind` value for non-memory instructions.
     pub const KIND_OTHER: u8 = 0;
@@ -115,6 +118,9 @@ impl InstrMeta {
         }
         if matches!(instr, Instr::Halt) {
             flags |= InstrMeta::HALT;
+        }
+        if matches!(instr, Instr::BranchOnMemMiss { .. }) {
+            flags |= InstrMeta::BMISS_MEM;
         }
         InstrMeta { src1, src2, dest, fu, kind, flags, lat }
     }
@@ -381,6 +387,22 @@ mod tests {
         let halt = c.meta_idx(3);
         assert_ne!(halt.flags & InstrMeta::HALT, 0);
         assert_eq!(halt.kind, InstrMeta::KIND_HALT);
+    }
+
+    #[test]
+    fn miss_branches_carry_distinct_flags() {
+        let mut a = Asm::new();
+        let h = a.label("h");
+        a.branch_on_miss(h);
+        a.branch_on_mem_miss(h);
+        a.bind(h).unwrap();
+        a.halt();
+        let p = a.assemble().unwrap();
+        let c = BlockCache::build(&p, flat_lat);
+        let flags = |i| c.meta_idx(i).flags & (InstrMeta::BMISS | InstrMeta::BMISS_MEM);
+        assert_eq!(flags(0), InstrMeta::BMISS);
+        assert_eq!(flags(1), InstrMeta::BMISS_MEM);
+        assert_eq!(flags(2), 0);
     }
 
     #[test]

@@ -18,10 +18,10 @@ use imo_bench::codec::result_json;
 use imo_faults::{FaultConfig, FaultPlan};
 use imo_util::check::Checker;
 use imo_util::ensure_eq;
-use imo_util::snapshot::Snapshot;
+use imo_util::snapshot::{self, Snapshot, SnapshotError};
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
-use informing_memops::cpu::{Checkpoint, Outcome, RunLimits, RunResult, SimSession};
+use informing_memops::cpu::{Checkpoint, Outcome, RunLimits, RunResult, SimError, SimSession};
 use informing_memops::isa::{Asm, BlockCache, Program};
 use informing_memops::obs::Recorder;
 use informing_memops::util::json::{parse, Json};
@@ -283,16 +283,19 @@ fn random_stop_cycles_resume_identically() {
 
 /// Chained slices: every run pauses about 20 times, each checkpoint crosses
 /// the JSON wire, and each resume pauses again — both machines, plain and
-/// trap-instrumented. The CPU twin of `tests/coherence_checkpoint.rs`'s
-/// `chained_micro_slices_resume_bit_identically`.
+/// trap-instrumented. ora barely touches memory; xlisp chases pointers, so
+/// its pauses catch consumers waiting on misses. The CPU twin of
+/// `tests/coherence_checkpoint.rs`'s `chained_micro_slices_resume_bit_identically`.
 #[test]
 fn chained_slices_resume_bit_identically() {
-    let p = (by_name("ora").expect("workload exists").build)(Scale::Test);
     let [none, trap, _] = schemes();
-    for (label, scheme) in [none, trap] {
+    for (kernel, (label, scheme)) in
+        ["ora", "xlisp"].into_iter().flat_map(|k| [(k, none), (k, trap)])
+    {
+        let p = (by_name(kernel).expect("workload exists").build)(Scale::Test);
         let inst = instrument(&p, &scheme).expect("instruments");
         for machine in [Machine::default_ooo(), Machine::default_in_order()] {
-            let name = format!("{label} on {}", machine.name());
+            let name = format!("{kernel} {label} on {}", machine.name());
             let baseline =
                 machine.run_limited(&inst.program, RunLimits::default()).expect("uninterrupted");
             let stride = (baseline.cycles / 20).max(1);
@@ -318,6 +321,108 @@ fn chained_slices_resume_bit_identically() {
             assert_eq!(resumed, baseline, "{name}: chained slices must equal the straight run");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Malformed windows: a checkpoint whose reorder buffer dispatch could not
+// have built is rejected on resume, not simulated.
+// ---------------------------------------------------------------------------
+
+/// The object field `key` of `j`, mutably.
+fn field_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    match j {
+        Json::Obj(pairs) => {
+            pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).expect("field exists")
+        }
+        _ => panic!("{key}: not an object"),
+    }
+}
+
+/// The array field `key` of `j`, mutably.
+fn arr_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
+    match field_mut(j, key) {
+        Json::Arr(items) => items,
+        _ => panic!("{key}: not an array"),
+    }
+}
+
+/// Pauses xlisp trap-10S on the out-of-order core at cycle 237, with
+/// several instructions in its reorder buffer, lets `edit` change the
+/// checkpoint body's wire, and resumes the edited checkpoint.
+fn resume_edited(edit: impl FnOnce(&mut Json)) -> Result<Outcome, SimError> {
+    let p = (by_name("xlisp").expect("workload exists").build)(Scale::Test);
+    let [_, (_, trap), _] = schemes();
+    let inst = instrument(&p, &trap).expect("instruments");
+    let machine = Machine::default_ooo();
+    let outcome = SimSession::new(&inst.program, machine.core_config())
+        .limits(RunLimits::stop_at(237))
+        .run()
+        .expect("bounded run pauses");
+    let Outcome::Paused(ckpt) = outcome else { panic!("cycle 237 is before the end") };
+    let mut wire = ckpt.to_wire();
+    let body = field_mut(field_mut(&mut wire, "data"), "body");
+    assert!(arr_mut(body, "rob").len() >= 4, "the pause must catch a populated ROB");
+    edit(body);
+    let edited = Checkpoint::from_wire(&wire).expect("edited wire still decodes");
+    SimSession::new(&inst.program, machine.core_config()).resume(&edited)
+}
+
+fn assert_bad(result: Result<Outcome, SimError>, field: &str) {
+    match result {
+        Err(SimError::Checkpoint(SnapshotError::Bad(f))) if f == field => {}
+        Err(e) => panic!("expected a bad `{field}` checkpoint, got error {e}"),
+        Ok(_) => panic!("expected a bad `{field}` checkpoint, but it resumed"),
+    }
+}
+
+/// A ROB padded past `rob_entries` (32) to 70 entries.
+#[test]
+fn oversized_rob_checkpoint_is_rejected() {
+    assert_bad(
+        resume_edited(|body| {
+            let rob = arr_mut(body, "rob");
+            let last = rob.last().expect("non-empty").clone();
+            rob.resize(70, last);
+        }),
+        "rob",
+    );
+}
+
+/// A ROB entry whose seq breaks contiguity from `rob_base`.
+#[test]
+fn noncontiguous_rob_checkpoint_is_rejected() {
+    assert_bad(
+        resume_edited(|body| {
+            let entry = &mut arr_mut(body, "rob")[1];
+            *field_mut(field_mut(entry, "f"), "seq") = snapshot::u64_json(1_000_000);
+        }),
+        "rob",
+    );
+}
+
+/// A fetch queue longer than the fetch stage can fill: it fetches only while
+/// the queue holds fewer than `2 × issue_width` entries, at most
+/// `issue_width` at a time.
+#[test]
+fn overfull_fetch_queue_checkpoint_is_rejected() {
+    assert_bad(
+        resume_edited(|body| {
+            let record = field_mut(&mut arr_mut(body, "rob")[0], "f").clone();
+            arr_mut(body, "fetch_q").resize(12, record);
+        }),
+        "fetch_q",
+    );
+}
+
+/// A rename map naming an instruction that was never dispatched.
+#[test]
+fn undispatched_rename_checkpoint_is_rejected() {
+    assert_bad(
+        resume_edited(|body| {
+            arr_mut(body, "last_writer")[1] = snapshot::u64_json(1_000_000);
+        }),
+        "last_writer",
+    );
 }
 
 // ---------------------------------------------------------------------------

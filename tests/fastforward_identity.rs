@@ -16,9 +16,10 @@ use imo_util::ensure_eq;
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
 use informing_memops::cpu::{
-    inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, RunResult, SimSession,
+    inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, RunResult, SimSession, TrapModel,
 };
 use informing_memops::isa::Program;
+use informing_memops::mem::MshrMode;
 use informing_memops::obs::{CategoryMask, Recorder};
 use informing_memops::workloads::{all, by_name, Scale};
 
@@ -206,8 +207,10 @@ fn run_to_completion(outcome: Outcome) -> Result<RunResult, String> {
 }
 
 /// 32 random (workload, scheme, machine) triples — including the 1- and
-/// 100-instruction handler bodies and per-reference handlers the fixed
-/// matrix above does not cover.
+/// 100-instruction handler bodies, per-reference handlers, and the
+/// out-of-order configurations the fixed matrix above does not cover: trap
+/// as exception (resolutions at graduation), 1 and 3 shadow checkpoints
+/// (checkpoint-stalled dispatch), and standard MSHRs.
 #[test]
 fn random_configurations_are_tick_identical() {
     let names: Vec<&'static str> = all().iter().map(|s| s.name).collect();
@@ -222,14 +225,28 @@ fn random_configurations_are_tick_identical() {
             Scheme::ConditionCode { handlers, body },
         ]);
         let inst = instrument(&p, &scheme).map_err(|e| format!("{name}: {e}"))?;
-        let machine = if g.bool() { Machine::default_ooo() } else { Machine::default_in_order() };
+        let (machine, variant) = if g.bool() {
+            let mut cfg = OooConfig::paper();
+            let variant =
+                *g.pick(&["paper", "trap-exception", "1-checkpoint", "3-checkpoints", "std-mshr"]);
+            match variant {
+                "trap-exception" => cfg.trap_model = TrapModel::Exception,
+                "1-checkpoint" => cfg.max_checkpoints = 1,
+                "3-checkpoints" => cfg.max_checkpoints = 3,
+                "std-mshr" => cfg.mshr_mode = MshrMode::Standard,
+                _ => {}
+            }
+            (Machine::OutOfOrder(cfg), variant)
+        } else {
+            (Machine::default_in_order(), "paper")
+        };
         let event = machine
             .run_limited(&inst.program, RunLimits::default())
-            .map_err(|e| format!("{name} on {}: {e}", machine.name()))?;
+            .map_err(|e| format!("{name} on {} {variant}: {e}", machine.name()))?;
         let tick = machine
             .run_limited(&inst.program, RunLimits::tick_accurate())
-            .map_err(|e| format!("{name} on {} (tick): {e}", machine.name()))?;
-        ensure_eq!(event, tick, "{name} on {} under {scheme:?}", machine.name());
+            .map_err(|e| format!("{name} on {} {variant} (tick): {e}", machine.name()))?;
+        ensure_eq!(event, tick, "{name} on {} {variant} under {scheme:?}", machine.name());
         Ok(())
     });
 }
