@@ -44,8 +44,6 @@ pub fn result_json(r: &RunResult) -> Json {
         ("informing_traps", snapshot::u64_json(r.informing_traps)),
         ("mispredictions", snapshot::u64_json(r.mispredictions)),
         ("branch_accuracy", snapshot::f64_json(r.branch_accuracy)),
-        ("handler_faults", snapshot::u64_json(r.handler_faults)),
-        ("degraded", Json::Bool(r.degraded)),
         ("l1d_accesses", snapshot::u64_json(r.mem.l1d_accesses)),
         ("l1d_misses", snapshot::u64_json(r.mem.l1d_misses)),
         ("l2_misses", snapshot::u64_json(r.mem.l2_misses)),
@@ -66,8 +64,6 @@ pub fn decode_result(j: &Json) -> Result<RunResult, SnapshotError> {
         informing_traps: snapshot::get_u64(j, "informing_traps")?,
         mispredictions: snapshot::get_u64(j, "mispredictions")?,
         branch_accuracy: snapshot::get_f64(j, "branch_accuracy")?,
-        handler_faults: snapshot::get_u64(j, "handler_faults")?,
-        degraded: snapshot::get_bool(j, "degraded")?,
         mem: imo_cpu::result::MemCounters {
             l1d_accesses: snapshot::get_u64(j, "l1d_accesses")?,
             l1d_misses: snapshot::get_u64(j, "l1d_misses")?,
@@ -110,10 +106,7 @@ pub fn sim_result_json(r: &SimResult) -> Json {
         ("invalidations", snapshot::u64_json(r.invalidations)),
         ("retries", snapshot::u64_json(r.retries)),
         ("timeouts", snapshot::u64_json(r.timeouts)),
-        ("nacks", snapshot::u64_json(r.nacks)),
         ("dropped_msgs", snapshot::u64_json(r.dropped_msgs)),
-        ("ecc_corrected", snapshot::u64_json(r.ecc_corrected)),
-        ("ecc_uncorrectable", snapshot::u64_json(r.ecc_uncorrectable)),
     ])
 }
 
@@ -133,10 +126,7 @@ pub fn decode_sim_result(j: &Json) -> Result<SimResult, SnapshotError> {
         invalidations: snapshot::get_u64(j, "invalidations")?,
         retries: snapshot::get_u64(j, "retries")?,
         timeouts: snapshot::get_u64(j, "timeouts")?,
-        nacks: snapshot::get_u64(j, "nacks")?,
         dropped_msgs: snapshot::get_u64(j, "dropped_msgs")?,
-        ecc_corrected: snapshot::get_u64(j, "ecc_corrected")?,
-        ecc_uncorrectable: snapshot::get_u64(j, "ecc_uncorrectable")?,
     })
 }
 

@@ -3,7 +3,7 @@
 //! policies. Two matrices fanned out across the pool:
 //!
 //! 1. **Zero-fault identity** — an app × scheme sweep proving a run driven
-//!    by an all-zero `FaultPlan` is bit-identical to the fault-free
+//!    by a zero-drop-rate `FaultPlan` is bit-identical to the fault-free
 //!    baseline (the fault hooks may cost nothing when no fault fires).
 //! 2. **Recovery cost** — a policy × drop-rate sweep of completion-time
 //!    slowdown vs the fault-free run, plus retry and timeout counters.
@@ -81,9 +81,8 @@ pub fn compute() -> Output {
     let sweep = SweepSpec::new("fault_resilience", cells).run(|_, ((name, backoff), rate)| {
         let mut p = params;
         p.backoff = backoff;
-        let mut fc = FaultConfig::none(FAULT_SEED);
-        fc.drop_rate = rate;
-        let result = simulate_faulty(&trace, Scheme::Informing, &p, &FaultPlan::new(fc))
+        let plan = FaultPlan::new(FaultConfig { seed: FAULT_SEED, drop_rate: rate });
+        let result = simulate_faulty(&trace, Scheme::Informing, &p, &plan)
             .expect("sweep rates recover via retry");
         SweepCell { policy: name, backoff, drop_rate: rate, result }
     });
@@ -113,7 +112,6 @@ pub fn payload(out: &Output) -> Json {
             ("retries", Json::from(c.result.retries)),
             ("timeouts", Json::from(c.result.timeouts)),
             ("dropped_msgs", Json::from(c.result.dropped_msgs)),
-            ("nacks", Json::from(c.result.nacks)),
         ])
     });
     Json::obj([

@@ -26,13 +26,11 @@
 //!
 //! ## Resilience
 //!
-//! The protocol runs over an *unreliable* interconnect when driven by an
+//! The protocol runs over a *lossy* interconnect when driven by an
 //! [`imo_faults::FaultPlan`] ([`simulate_faulty`]): directory requests can be
-//! dropped, duplicated or delayed per the plan's deterministic schedule. Lost
-//! requests time out and are re-sent under a capped exponential
-//! [`BackoffPolicy`]; duplicates are NACKed at the home; recalled lines can
-//! suffer ECC faults (single-bit corrected, double-bit refetched from
-//! memory). [`SimLimits`] bounds every run — an event budget, a per-request
+//! dropped per the plan's deterministic schedule. Lost requests time out and
+//! are re-sent under a capped exponential [`BackoffPolicy`]. [`SimLimits`]
+//! bounds every run — an event budget, a per-request
 //! retry cap and a forward-progress watchdog turn pathological schedules into
 //! typed [`SimError`]s instead of hangs, and deadlock reports carry a
 //! [`ProgressSnapshot`] of the stuck line's ownership.
@@ -58,10 +56,9 @@
 //! use imo_workloads::parallel::{migratory, TraceConfig};
 //!
 //! let trace = migratory(&TraceConfig { procs: 4, ops_per_proc: 500, seed: 1 });
-//! let mut cfg = FaultConfig::none(7);
-//! cfg.drop_rate = 0.05;
-//! let r = simulate_faulty(&trace, Scheme::Informing, &MachineParams::table2(),
-//!                         &FaultPlan::new(cfg)).expect("recovers via retry");
+//! let plan = FaultPlan::new(FaultConfig { seed: 7, drop_rate: 0.05 });
+//! let r = simulate_faulty(&trace, Scheme::Informing, &MachineParams::table2(), &plan)
+//!     .expect("recovers via retry");
 //! assert_eq!(r.retries, r.dropped_msgs); // every loss was retried
 //! ```
 

@@ -403,8 +403,8 @@ impl Directory {
     ///   of the sharer set, and shared-state copies are READONLY.
     ///
     /// Returns a description of the first violation, if any. Used by the
-    /// fault-injection suites to prove that drop/duplicate/delay schedules
-    /// never corrupt protocol state.
+    /// fault-injection suites to prove that message-drop schedules never
+    /// corrupt protocol state.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (&line, e) in &self.entries {
             let held: Vec<(usize, LineState)> = (0..self.params.procs)

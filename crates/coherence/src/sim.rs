@@ -3,8 +3,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use imo_faults::{EccFault, EccFaults, FaultPlan, InterconnectFault, InterconnectFaults};
-use imo_mem::{Cache, CacheConfig, EccEvent, Probe};
+use imo_faults::{FaultPlan, InterconnectFaults};
+use imo_mem::{Cache, CacheConfig, Probe};
 use imo_obs::{CpiCategory, CpiStack, EventKind, Recorder, ServedBy};
 use imo_util::stats::{Report, Summarize};
 use imo_workloads::parallel::ParallelTrace;
@@ -42,15 +42,8 @@ pub struct SimResult {
     pub retries: u64,
     /// Request timeouts suffered (a dropped message waited out its timer).
     pub timeouts: u64,
-    /// NACKs received (duplicate requests rejected at the home node).
-    pub nacks: u64,
-    /// Protocol messages dropped by the (injected-faulty) interconnect.
+    /// Protocol messages dropped by the (lossy) interconnect.
     pub dropped_msgs: u64,
-    /// Single-bit ECC faults corrected during line recalls.
-    pub ecc_corrected: u64,
-    /// Uncorrectable double-bit ECC faults during line recalls (the recalled
-    /// copy was discarded and the data refetched from memory).
-    pub ecc_uncorrectable: u64,
 }
 
 impl SimResult {
@@ -76,10 +69,7 @@ impl Summarize for SimResult {
             .push("invalidations", self.invalidations)
             .push("retries", self.retries)
             .push("timeouts", self.timeouts)
-            .push("nacks", self.nacks)
-            .push("dropped_msgs", self.dropped_msgs)
-            .push("ecc_corrected", self.ecc_corrected)
-            .push("ecc_uncorrectable", self.ecc_uncorrectable);
+            .push("dropped_msgs", self.dropped_msgs);
         r
     }
 }
@@ -102,7 +92,6 @@ pub(crate) struct RunState {
     pub(crate) nodes: Vec<Node>,
     pub(crate) result: SimResult,
     pub(crate) net: InterconnectFaults,
-    pub(crate) ecc: EccFaults,
     pub(crate) events: u64,
     pub(crate) consecutive_failures: u32,
     pub(crate) proc_cpi: Vec<CpiStack>,
@@ -113,13 +102,6 @@ fn insufficient(prot: LineState, is_write: bool) -> bool {
         prot != LineState::ReadWrite
     } else {
         prot == LineState::Invalid
-    }
-}
-
-fn ecc_event(f: EccFault) -> EccEvent {
-    match f {
-        EccFault::SingleBit => EccEvent::SingleBit,
-        EccFault::DoubleBit => EccEvent::DoubleBit,
     }
 }
 
@@ -166,15 +148,13 @@ pub fn simulate_baseline(
     }
 }
 
-/// Simulates `trace` under `scheme` while injecting faults from `plan`:
-/// directory requests may be dropped (timeout + NACK-style retry with capped
-/// exponential backoff), duplicated (the home NACKs the extra copy) or
-/// delayed, and recalled lines may suffer ECC faults (single-bit corrected,
-/// double-bit discarded and refetched from memory).
+/// Simulates `trace` under `scheme` while dropping directory requests as
+/// scheduled by `plan`: a dropped request waits out its timeout and is
+/// re-sent after a capped exponential backoff.
 ///
-/// The fault schedule is a pure function of `plan`'s seed, so identical
+/// The drop schedule is a pure function of `plan`'s seed, so identical
 /// arguments yield identical results — including the retry counters. A plan
-/// with all-zero rates is bit-identical to [`simulate`].
+/// with a zero drop rate is bit-identical to [`simulate`].
 ///
 /// # Errors
 ///
@@ -209,8 +189,8 @@ pub fn simulate_faulty_full(
     run(trace, scheme, params, plan, None)
 }
 
-/// Like [`simulate_faulty_full`], but streams protocol events (requests,
-/// drops, retries, NACKs, invalidations, ECC outcomes) into `rec`, exports
+/// Like [`simulate_faulty_full`], but streams protocol events (accesses,
+/// requests, drops, retries, invalidations) into `rec`, exports
 /// the run's counters and the `coh.retry_backoff` histogram into
 /// `rec.metrics`, and attributes the critical-path (slowest) processor's
 /// cycles into `rec.cpi` — whose total equals `SimResult::total_cycles`
@@ -261,10 +241,7 @@ fn run(
         rec.metrics.set("coh.invalidations", result.invalidations);
         rec.metrics.set("coh.retries", result.retries);
         rec.metrics.set("coh.timeouts", result.timeouts);
-        rec.metrics.set("coh.nacks", result.nacks);
         rec.metrics.set("coh.dropped_msgs", result.dropped_msgs);
-        rec.metrics.set("coh.ecc_corrected", result.ecc_corrected);
-        rec.metrics.set("coh.ecc_uncorrectable", result.ecc_uncorrectable);
         let (seen, dropped) = (rec.total_recorded(), rec.dropped());
         rec.metrics.set("obs.events_seen", seen);
         rec.metrics.set("obs.events_dropped", dropped);
@@ -312,21 +289,16 @@ pub(crate) fn init_state(
         invalidations: 0,
         retries: 0,
         timeouts: 0,
-        nacks: 0,
         dropped_msgs: 0,
-        ecc_corrected: 0,
-        ecc_uncorrectable: 0,
     };
 
     Ok(RunState {
         dir,
         nodes,
         result,
-        // Independent per-site fault streams; all-zero rates never draw,
-        // which keeps the zero-fault configuration bit-identical to the
-        // baseline.
+        // A zero drop rate never draws, which keeps the zero-fault
+        // configuration bit-identical to the baseline.
         net: plan.interconnect(),
-        ecc: plan.cache_lines(),
         events: 0,
         // Machine-wide consecutive delivery failures (reset on any
         // success): the forward-progress watchdog.
@@ -352,7 +324,7 @@ pub(crate) fn drive(
     obs: &mut Option<&mut Recorder>,
     stop_at: Option<u64>,
 ) -> Result<bool, SimError> {
-    let RunState { dir, nodes, result, net, ecc, events, consecutive_failures, proc_cpi } = state;
+    let RunState { dir, nodes, result, net, events, consecutive_failures, proc_cpi } = state;
     let mut queue: BinaryHeap<Reverse<(u64, usize)>> = nodes
         .iter()
         .enumerate()
@@ -456,10 +428,10 @@ pub(crate) fn drive(
                 }
             }
             if acted {
-                // Deliver the directory request over the (possibly faulty)
-                // interconnect: NACK + retry with capped exponential backoff
-                // on loss, under the per-request retry cap and the
-                // machine-wide forward-progress watchdog.
+                // Deliver the directory request over the (possibly lossy)
+                // interconnect: retry with capped exponential backoff on
+                // loss, under the per-request retry cap and the machine-wide
+                // forward-progress watchdog.
                 let mut attempts: u32 = 0;
                 imo_obs::record(
                     obs,
@@ -472,81 +444,53 @@ pub(crate) fn drive(
                         return Err(SimError::EventBudget { budget: params.limits.event_budget });
                     }
                     attempts += 1;
-                    match net.draw() {
-                        Some(InterconnectFault::Drop) => {
-                            // Lost in the network: the requester waits out
-                            // its timeout, backs off, and re-sends.
-                            result.dropped_msgs += 1;
-                            result.timeouts += 1;
-                            cost.add(CpiCategory::CoherenceWait, params.limits.request_timeout);
-                            imo_obs::record(
-                                obs,
-                                t0 + cost.total(),
-                                EventKind::CohDrop { proc: p as u32, line },
-                            );
-                            *consecutive_failures += 1;
-                            if *consecutive_failures >= params.limits.watchdog_failures {
-                                let snapshot = ProgressSnapshot {
-                                    proc: p,
-                                    line,
-                                    attempts,
-                                    pending_procs: queue.len() + 1,
-                                    ownership: dir.describe(line),
-                                };
-                                return Err(SimError::Deadlock {
-                                    cycle: nodes[p].time + cost.total(),
-                                    snapshot,
-                                });
-                            }
-                            if attempts > params.backoff.max_retries {
-                                let snapshot = ProgressSnapshot {
-                                    proc: p,
-                                    line,
-                                    attempts,
-                                    pending_procs: queue.len() + 1,
-                                    ownership: dir.describe(line),
-                                };
-                                return Err(SimError::RetryExhausted {
-                                    proc: p,
-                                    line,
-                                    attempts,
-                                    snapshot,
-                                });
-                            }
-                            result.retries += 1;
-                            let backoff = params.backoff.delay(attempts - 1);
-                            cost.add(CpiCategory::CoherenceWait, backoff);
-                            if let Some(rec) = obs.as_deref_mut() {
-                                rec.metrics.observe("coh.retry_backoff", backoff);
-                                rec.record(
-                                    t0 + cost.total(),
-                                    EventKind::CohRetry { proc: p as u32, line, backoff },
-                                );
-                            }
-                        }
-                        Some(InterconnectFault::Duplicate) => {
-                            // Both copies arrive; the home services the first
-                            // and NACKs the duplicate. No extra latency on
-                            // the critical path.
-                            result.nacks += 1;
-                            imo_obs::record(
-                                obs,
-                                t0 + cost.total(),
-                                EventKind::CohNack { proc: p as u32, line },
-                            );
-                            *consecutive_failures = 0;
-                            break;
-                        }
-                        Some(InterconnectFault::Delay(d)) => {
-                            // Late but delivered.
-                            cost.add(CpiCategory::CoherenceWait, d);
-                            *consecutive_failures = 0;
-                            break;
-                        }
-                        None => {
-                            *consecutive_failures = 0;
-                            break;
-                        }
+                    if !net.draw() {
+                        *consecutive_failures = 0;
+                        break;
+                    }
+                    // Lost in the network: the requester waits out its
+                    // timeout, backs off, and re-sends.
+                    result.dropped_msgs += 1;
+                    result.timeouts += 1;
+                    cost.add(CpiCategory::CoherenceWait, params.limits.request_timeout);
+                    imo_obs::record(
+                        obs,
+                        t0 + cost.total(),
+                        EventKind::CohDrop { proc: p as u32, line },
+                    );
+                    *consecutive_failures += 1;
+                    if *consecutive_failures >= params.limits.watchdog_failures {
+                        let snapshot = ProgressSnapshot {
+                            proc: p,
+                            line,
+                            attempts,
+                            pending_procs: queue.len() + 1,
+                            ownership: dir.describe(line),
+                        };
+                        return Err(SimError::Deadlock {
+                            cycle: nodes[p].time + cost.total(),
+                            snapshot,
+                        });
+                    }
+                    if attempts > params.backoff.max_retries {
+                        let snapshot = ProgressSnapshot {
+                            proc: p,
+                            line,
+                            attempts,
+                            pending_procs: queue.len() + 1,
+                            ownership: dir.describe(line),
+                        };
+                        return Err(SimError::RetryExhausted { proc: p, line, attempts, snapshot });
+                    }
+                    result.retries += 1;
+                    let backoff = params.backoff.delay(attempts - 1);
+                    cost.add(CpiCategory::CoherenceWait, backoff);
+                    if let Some(rec) = obs.as_deref_mut() {
+                        rec.metrics.observe("coh.retry_backoff", backoff);
+                        rec.record(
+                            t0 + cost.total(),
+                            EventKind::CohRetry { proc: p as u32, line, backoff },
+                        );
                     }
                 }
 
@@ -556,32 +500,7 @@ pub(crate) fn drive(
                 for q in out.invalidated.iter().collect::<Vec<_>>() {
                     *events += 1;
                     nodes[q].l1.invalidate(line);
-                    // The recalled L2 copy passes through the ECC machinery:
-                    // the fault plan may flip bits on it.
-                    let fault = ecc.draw().map(ecc_event);
-                    match nodes[q].l2.invalidate_ecc(line, fault) {
-                        Ok(removed) => {
-                            if fault == Some(EccEvent::SingleBit) && removed.is_some() {
-                                result.ecc_corrected += 1;
-                                imo_obs::record(
-                                    obs,
-                                    t0 + cost.total(),
-                                    EventKind::EccCorrected { line },
-                                );
-                            }
-                        }
-                        Err(_lost) => {
-                            // Uncorrectable: the recalled copy is useless, so
-                            // the requester's fill is served from memory.
-                            result.ecc_uncorrectable += 1;
-                            cost.add(CpiCategory::CoherenceWait, params.l2_miss_penalty);
-                            imo_obs::record(
-                                obs,
-                                t0 + cost.total(),
-                                EventKind::EccUncorrectable { line },
-                            );
-                        }
-                    }
+                    nodes[q].l2.invalidate(line);
                     result.invalidations += 1;
                     imo_obs::record(
                         obs,

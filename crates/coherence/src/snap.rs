@@ -9,10 +9,10 @@
 //! A [`CohCheckpoint`] captures the full [`RunState`](crate::sim::RunState):
 //! the directory and every node's protection tables, both cache arrays per
 //! node, node clocks and trace cursors, the accumulated result counters and
-//! CPI stacks, the event/watchdog budgets, and the *positions* of the two
-//! fault streams (draws are pure functions of `(stream seed, n)`, so a
-//! single counter per stream restores the exact schedule — including
-//! in-flight NACK/retry pressure). The ready queue is deliberately absent:
+//! CPI stacks, the event/watchdog budgets, and the *position* of the
+//! message-drop stream (draws are pure functions of `(stream seed, n)`, so a
+//! single counter restores the exact schedule — including in-flight retry
+//! pressure). The ready queue is deliberately absent:
 //! at an op boundary it is a pure function of node clocks and cursors and is
 //! rebuilt on resume.
 //!
@@ -73,7 +73,7 @@ impl CohCheckpoint {
 
 impl Snapshot for CohCheckpoint {
     const KIND: &'static str = "coh.checkpoint";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn encode(&self) -> Json {
         Json::obj([
@@ -129,8 +129,8 @@ impl<'a> CohSession<'a> {
         CohSession { trace, scheme, params, plan: FaultPlan::none(), stop_at: None }
     }
 
-    /// Injects faults from `plan` (the schedule is part of the checkpoint's
-    /// configuration hash).
+    /// Drops protocol messages as scheduled by `plan` (the schedule is part
+    /// of the checkpoint's configuration hash).
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> CohSession<'a> {
         self.plan = plan;
@@ -195,10 +195,10 @@ impl<'a> CohSession<'a> {
     }
 }
 
-// 13 counter fields of `SimResult` carried through a checkpoint, in wire
+// 10 counter fields of `SimResult` carried through a checkpoint, in wire
 // order (`total_cycles` is sealed by `finish`, app/scheme by the resume
 // context).
-fn result_counts(r: &SimResult) -> [u64; 13] {
+fn result_counts(r: &SimResult) -> [u64; 10] {
     [
         r.ops,
         r.lookups,
@@ -209,10 +209,7 @@ fn result_counts(r: &SimResult) -> [u64; 13] {
         r.invalidations,
         r.retries,
         r.timeouts,
-        r.nacks,
         r.dropped_msgs,
-        r.ecc_corrected,
-        r.ecc_uncorrectable,
     ]
 }
 
@@ -248,7 +245,6 @@ fn encode_state(s: &RunState) -> Json {
         ("counts", snapshot::u64s_json(&result_counts(&s.result))),
         ("proc_cycles", snapshot::u64s_json(&s.result.proc_cycles)),
         ("net_pos", snapshot::u64_json(s.net.position())),
-        ("ecc_pos", snapshot::u64_json(s.ecc.position())),
         ("events", snapshot::u64_json(s.events)),
         ("consec", snapshot::u64_json(u64::from(s.consecutive_failures))),
         ("cpi", snapshot::u64s_json(&cpi)),
@@ -290,7 +286,7 @@ fn decode_state(
         node.l2 = imo_mem::Cache::from_wire(&l2[p])?;
     }
     let counts = snapshot::get_u64s(body, "counts")?;
-    if counts.len() != 13 {
+    if counts.len() != 10 {
         return Err(SnapshotError::Bad("counts"));
     }
     s.result.ops = counts[0];
@@ -302,16 +298,12 @@ fn decode_state(
     s.result.invalidations = counts[6];
     s.result.retries = counts[7];
     s.result.timeouts = counts[8];
-    s.result.nacks = counts[9];
-    s.result.dropped_msgs = counts[10];
-    s.result.ecc_corrected = counts[11];
-    s.result.ecc_uncorrectable = counts[12];
+    s.result.dropped_msgs = counts[9];
     s.result.proc_cycles = snapshot::get_u64s(body, "proc_cycles")?;
     if s.result.proc_cycles.len() != procs {
         return Err(SnapshotError::Bad("proc_cycles"));
     }
     s.net.seek(snapshot::get_u64(body, "net_pos")?);
-    s.ecc.seek(snapshot::get_u64(body, "ecc_pos")?);
     s.events = snapshot::get_u64(body, "events")?;
     s.consecutive_failures = u32::try_from(snapshot::get_u64(body, "consec")?)
         .map_err(|_| SnapshotError::Bad("consec"))?;
@@ -339,13 +331,7 @@ mod tests {
     }
 
     fn stormy_plan() -> FaultPlan {
-        let mut c = FaultConfig::none(3);
-        c.drop_rate = 0.05;
-        c.dup_rate = 0.05;
-        c.delay_rate = 0.05;
-        c.ecc_single_rate = 0.05;
-        c.ecc_double_rate = 0.02;
-        FaultPlan::new(c)
+        FaultPlan::new(FaultConfig { seed: 3, drop_rate: 0.1 })
     }
 
     /// Round-trips a checkpoint through its printed wire text, as a resume
@@ -358,7 +344,7 @@ mod tests {
 
     #[test]
     fn pause_resume_is_bit_identical_under_faults() {
-        // Pause mid-protocol with in-flight NACK/retry traffic at several
+        // Pause mid-protocol with in-flight retry traffic at several
         // different boundaries; every resumed run must equal the
         // uninterrupted one bit-for-bit, including the retry counters.
         let t = producer_consumer(&cfg());

@@ -13,7 +13,6 @@
 
 use std::collections::VecDeque;
 
-use imo_faults::HandlerFaults;
 use imo_isa::exec::{ArchState, ControlFlow, ExecError, Executor, MissDepth, MissOracle};
 use imo_isa::{BlockCache, Instr, Program};
 use imo_mem::{HitLevel, MemoryHierarchy, ProbeResult};
@@ -177,17 +176,6 @@ pub struct FrontEnd<'p> {
     mispredictions: u64,
     informing_traps: u64,
     line_bytes: u64,
-    /// Fault schedule for informing-trap dispatches (None = perfect machine).
-    handler_faults: Option<HandlerFaults>,
-    /// Consecutive faulty dispatches before informing traps are disabled
-    /// (0 = never degrade).
-    degrade_after: u32,
-    consecutive_faults: u32,
-    handler_fault_count: u64,
-    degraded: bool,
-    /// Extra redirect penalty charged when the given sequence number
-    /// resolves (the timing cost of the most recent handler fault).
-    pending_penalty: Option<(u64, u64)>,
     /// Pointer-chase provenance: bit `Reg::logical()` is set while the
     /// register's most recent writer was a load. Purely observational —
     /// only feeds `ptr_base` on recorded data-access events.
@@ -239,12 +227,6 @@ impl<'p> FrontEnd<'p> {
             mispredictions: 0,
             informing_traps: 0,
             line_bytes,
-            handler_faults: None,
-            degrade_after: 0,
-            consecutive_faults: 0,
-            handler_fault_count: 0,
-            degraded: false,
-            pending_penalty: None,
             reg_from_load: 0,
             blocks: None,
             stats: FetchStats::default(),
@@ -264,23 +246,9 @@ impl<'p> FrontEnd<'p> {
         self.stats
     }
 
-    /// Arms miss-handler fault injection: each informing-trap dispatch draws
-    /// from `faults`, and after `degrade_after` consecutive faulty dispatches
-    /// the machine suppresses further informing traps (graceful degradation).
-    /// Pass `degrade_after == 0` to never degrade.
-    pub fn set_handler_faults(&mut self, faults: HandlerFaults, degrade_after: u32) {
-        self.handler_faults = Some(faults);
-        self.degrade_after = degrade_after;
-    }
-
-    /// Injected handler faults suffered so far.
-    pub fn handler_faults(&self) -> u64 {
-        self.handler_fault_count
-    }
-
-    /// Whether the machine has degraded (informing traps suppressed).
-    pub fn degraded(&self) -> bool {
-        self.degraded
+    /// Sequence number the next fetched instruction will carry.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Whether `halt` has been fetched (the pipeline may still be draining).
@@ -344,28 +312,15 @@ impl<'p> FrontEnd<'p> {
         if self.blocked_on == Some(seq) {
             self.blocked_on = None;
             self.blocked_trap = false;
-            // An injected handler fault on this dispatch stretches the
-            // redirect by its penalty (overrun bubbles / MHAR reload stall).
-            let extra = match self.pending_penalty.take() {
-                Some((s, extra)) if s == seq => extra,
-                other => {
-                    self.pending_penalty = other;
-                    0
-                }
-            };
-            self.resume_at = self.resume_at.max(cycle + 1 + redirect_penalty + extra);
+            self.resume_at = self.resume_at.max(cycle + 1 + redirect_penalty);
         }
     }
 
     /// Encodes the front end's entire mutable state (architectural state,
-    /// predictor table, fetch-blocking bookkeeping, fault-stream position) as
-    /// a checkpoint body fragment for [`FrontEnd::restore`].
+    /// predictor table, fetch-blocking bookkeeping) as a checkpoint body
+    /// fragment for [`FrontEnd::restore`].
     pub(crate) fn encode(&self) -> Json {
         let pred: String = self.pred.counters().iter().map(|&c| char::from(b'0' + c)).collect();
-        let (pending_seq, pending_extra) = match self.pending_penalty {
-            Some((s, e)) => (Some(s), Some(e)),
-            None => (None, None),
-        };
         Json::obj([
             ("arch", self.exec.state().encode()),
             ("instret", snapshot::u64_json(self.exec.instret())),
@@ -381,30 +336,20 @@ impl<'p> FrontEnd<'p> {
             ("last_mem_seq", snapshot::opt_u64_json(self.last_mem_seq)),
             ("mispredictions", snapshot::u64_json(self.mispredictions)),
             ("informing_traps", snapshot::u64_json(self.informing_traps)),
-            (
-                "faults_pos",
-                snapshot::opt_u64_json(self.handler_faults.as_ref().map(HandlerFaults::position)),
-            ),
-            ("consecutive_faults", snapshot::u64_json(u64::from(self.consecutive_faults))),
-            ("handler_fault_count", snapshot::u64_json(self.handler_fault_count)),
-            ("degraded", Json::Bool(self.degraded)),
-            ("pending_seq", snapshot::opt_u64_json(pending_seq)),
-            ("pending_extra", snapshot::opt_u64_json(pending_extra)),
             ("reg_from_load", snapshot::u64_json(self.reg_from_load)),
         ])
     }
 
     /// Rebuilds a front end from a [`FrontEnd::encode`] fragment. The
     /// configuration-derived arguments (`predictor_entries`, `trap_model`,
-    /// `line_bytes`, the fault stream) must come from the same session
-    /// configuration the checkpoint was taken under; mismatches surface as
+    /// `line_bytes`) must come from the same session configuration the
+    /// checkpoint was taken under; mismatches surface as
     /// [`SnapshotError::Bad`].
     pub(crate) fn restore(
         program: &'p Program,
         predictor_entries: usize,
         trap_model: TrapModel,
         line_bytes: u64,
-        faults: Option<(HandlerFaults, u32)>,
         data: &Json,
     ) -> Result<FrontEnd<'p>, SnapshotError> {
         let state = ArchState::decode(snapshot::field(data, "arch")?)?;
@@ -420,25 +365,6 @@ impl<'p> FrontEnd<'p> {
             snapshot::get_u64(data, "pred_lookups")?,
         )
         .ok_or(SnapshotError::Bad("pred"))?;
-        let faults_pos = snapshot::get_opt_u64(data, "faults_pos")?;
-        let (handler_faults, degrade_after) = match (faults, faults_pos) {
-            (Some((mut stream, degrade)), Some(pos)) => {
-                stream.seek(pos);
-                (Some(stream), degrade)
-            }
-            (None, None) => (None, 0),
-            // A checkpoint taken under fault injection cannot resume without
-            // the same fault plan (and vice versa).
-            _ => return Err(SnapshotError::Bad("faults_pos")),
-        };
-        let pending_penalty = match (
-            snapshot::get_opt_u64(data, "pending_seq")?,
-            snapshot::get_opt_u64(data, "pending_extra")?,
-        ) {
-            (Some(s), Some(e)) => Some((s, e)),
-            (None, None) => None,
-            _ => return Err(SnapshotError::Bad("pending_seq")),
-        };
         Ok(FrontEnd {
             exec: Executor::restore(program, state, instret),
             pred,
@@ -453,12 +379,6 @@ impl<'p> FrontEnd<'p> {
             mispredictions: snapshot::get_u64(data, "mispredictions")?,
             informing_traps: snapshot::get_u64(data, "informing_traps")?,
             line_bytes,
-            handler_faults,
-            degrade_after,
-            consecutive_faults: snapshot::get_u32(data, "consecutive_faults")?,
-            handler_fault_count: snapshot::get_u64(data, "handler_fault_count")?,
-            degraded: snapshot::get_bool(data, "degraded")?,
-            pending_penalty,
             reg_from_load: snapshot::get_u64(data, "reg_from_load")?,
             blocks: None,
             stats: FetchStats::default(),
@@ -468,8 +388,7 @@ impl<'p> FrontEnd<'p> {
     /// Fetches up to `width` instructions at `cycle`, appending to `out`,
     /// one instruction at a time.
     ///
-    /// `obs` receives the fetch, cache-outcome, trap-entry and
-    /// handler-fault events; [`NoObs`] records nothing and compiles the
+    /// `obs` receives the fetch, cache-outcome and trap-entry events; [`NoObs`] records nothing and compiles the
     /// hooks out.
     ///
     /// [`NoObs`]: imo_obs::NoObs
@@ -512,8 +431,7 @@ impl<'p> FrontEnd<'p> {
     ///
     /// Bit-identical to `fetch` by construction, events included: the
     /// batch path only covers instructions for which `fetch` performs no
-    /// probe, no predictor access, no trap or fault-plan interaction, and
-    /// no fetch break, and it emits their `Fetch` events in order;
+    /// probe, no predictor access, no trap, and no fetch break, and it emits their `Fetch` events in order;
     /// everything else takes the arm `fetch` itself uses.
     ///
     /// # Errors
@@ -634,8 +552,8 @@ impl<'p> FrontEnd<'p> {
     }
 
     /// Fetches and functionally executes the one instruction at `pc`:
-    /// probe, pointer-chase provenance, predictor, trap dispatch and fault
-    /// draw, with their events. Returns the entry and whether it ends the
+    /// probe, pointer-chase provenance, predictor and trap dispatch, with
+    /// their events. Returns the entry and whether it ends the
     /// fetch group.
     #[inline(always)]
     fn fetch_one<O: Observer>(
@@ -756,32 +674,6 @@ impl<'p> FrontEnd<'p> {
                 self.informing_traps += 1;
                 f.informing_trap = true;
                 obs.record(cycle, EventKind::TrapEnter { seq, pc });
-                if let Some(stream) = self.handler_faults.as_mut() {
-                    match stream.draw() {
-                        Some(fault) => {
-                            self.handler_fault_count += 1;
-                            self.consecutive_faults += 1;
-                            self.pending_penalty = Some((seq, fault.penalty_cycles()));
-                            obs.record(
-                                cycle,
-                                EventKind::HandlerFault { seq, penalty: fault.penalty_cycles() },
-                            );
-                            if self.degrade_after != 0
-                                && self.consecutive_faults >= self.degrade_after
-                                && !self.degraded
-                            {
-                                // Enough consecutive faulty dispatches: give
-                                // up on informing traps for the rest of the
-                                // run. This trap still pays its penalty;
-                                // later informing ops behave like normal
-                                // ones.
-                                self.degraded = true;
-                                self.exec.state_mut().set_informing_suppressed(true);
-                            }
-                        }
-                        None => self.consecutive_faults = 0,
-                    }
-                }
                 let is_store = matches!(info.instr, Instr::Store { .. });
                 f.resolve = if self.trap_model == TrapModel::Branch && !is_store {
                     Resolve::AtExecute
@@ -1034,8 +926,7 @@ mod tests {
         let frag = f.encode();
         let text = frag.pretty();
         let parsed = imo_util::json::parse(&text).expect("parses");
-        let mut g =
-            FrontEnd::restore(&p, 256, TrapModel::Branch, 32, None, &parsed).expect("restores");
+        let mut g = FrontEnd::restore(&p, 256, TrapModel::Branch, 32, &parsed).expect("restores");
         assert_eq!(g.blocked_on(), Some(bseq));
         assert_eq!(g.mispredictions(), f.mispredictions());
         assert_eq!(g.encode().pretty(), text, "re-encode is byte-stable");
@@ -1056,21 +947,6 @@ mod tests {
                 (y.seq, y.pc, y.fetch_cycle, y.resolve)
             );
         }
-    }
-
-    #[test]
-    fn restore_rejects_fault_plan_mismatch() {
-        let p = straight_line();
-        let f = fe(&p);
-        let frag = f.encode();
-        // Checkpoint taken without faults cannot resume with a fault stream.
-        let faults = imo_faults::FaultPlan::new(imo_faults::FaultConfig {
-            handler_overrun_rate: 0.5,
-            ..imo_faults::FaultConfig::default()
-        })
-        .handlers();
-        let r = FrontEnd::restore(&p, 256, TrapModel::Branch, 32, Some((faults, 0)), &frag);
-        assert_eq!(r.err(), Some(SnapshotError::Bad("faults_pos")));
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub fn simulate_full(
     cfg: &InOrderConfig,
     limits: RunLimits,
 ) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, None, None, None)?.expect_done()
+    run(program, cfg, limits, None, None)?.expect_done()
 }
 
 /// Like [`simulate_full`], but streams typed events into `rec` (gated by its
@@ -158,27 +158,7 @@ pub fn simulate_observed(
     limits: RunLimits,
     rec: &mut Recorder,
 ) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, None, Some(rec), None)?.expect_done()
-}
-
-/// Like [`simulate`], but drives the run under a [`imo_faults::FaultPlan`]:
-/// informing-trap dispatches draw handler faults (overrun / stale MHAR) from
-/// the plan's handler stream, paying their penalty on the trap redirect, and
-/// after `degrade_after` consecutive faulty dispatches the machine suppresses
-/// informing traps for the rest of the run (`RunResult::degraded`).
-///
-/// A plan with all-zero handler rates is cycle-identical to [`simulate`].
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_faulty(
-    program: &Program,
-    cfg: &InOrderConfig,
-    limits: RunLimits,
-    plan: &imo_faults::FaultPlan,
-) -> Result<RunResult, SimError> {
-    run(program, cfg, limits, Some(plan), None, None)?.expect_done().map(|(r, _)| r)
+    run(program, cfg, limits, Some(rec), None)?.expect_done()
 }
 
 /// The fast path's split fetch queue: batch-fetched plain instructions stay
@@ -315,17 +295,39 @@ fn decode_regs(body: &Json) -> Result<[RegState; 64], SnapshotError> {
     Ok(regs)
 }
 
+/// Checks a restored fetch queue's shape: fewer than three fetch groups'
+/// worth of entries (the fetch gate stops at two), contiguous sequence
+/// numbers, and ending at the last instruction the restored front end
+/// fetched.
+fn check_queue(
+    cfg: &InOrderConfig,
+    queue: &VecDeque<Fetched>,
+    fe: &FrontEnd,
+) -> Result<(), SnapshotError> {
+    let tail = fe.next_seq();
+    let ok = queue.len() < 3 * cfg.issue_width as usize
+        && queue
+            .iter()
+            .rev()
+            .enumerate()
+            .all(|(i, f)| f.seq.checked_add(i as u64 + 1) == Some(tail));
+    if ok {
+        Ok(())
+    } else {
+        Err(SnapshotError::Bad("queue"))
+    }
+}
+
 pub(crate) fn run(
     program: &Program,
     cfg: &InOrderConfig,
     limits: RunLimits,
-    faults: Option<&imo_faults::FaultPlan>,
     obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     match obs {
-        Some(rec) => run_with(program, cfg, limits, faults, rec, resume),
-        None => run_with(program, cfg, limits, faults, &mut NoObs, resume),
+        Some(rec) => run_with(program, cfg, limits, rec, resume),
+        None => run_with(program, cfg, limits, &mut NoObs, resume),
     }
 }
 
@@ -334,17 +336,12 @@ fn run_with<O: Observer>(
     program: &Program,
     cfg: &InOrderConfig,
     limits: RunLimits,
-    faults: Option<&imo_faults::FaultPlan>,
     obs: &mut O,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     // The in-order machine's informing traps always redirect at miss
     // detection (replay-trap style); the trap model distinction is an
     // out-of-order concern, so fix `Branch` here.
-    let handler_stream = faults
-        .filter(|plan| plan.config().has_handler())
-        .map(|plan| (plan.handlers(), plan.config().degrade_after));
-
     let mut hier;
     let mut fe;
     let mut regs;
@@ -364,7 +361,6 @@ fn run_with<O: Observer>(
             cfg.predictor_entries,
             TrapModel::Branch,
             cfg.hier.l1i.line_bytes,
-            handler_stream,
             snapshot::field(body, "fe")?,
         )?;
         regs = decode_regs(body)?;
@@ -374,6 +370,7 @@ fn run_with<O: Observer>(
             .iter()
             .map(|j| ckpt::decode_fetched(program, j))
             .collect::<Result<_, _>>()?;
+        check_queue(cfg, &queue, &fe)?;
         resolve_q = ckpt::decode_wakeup(snapshot::field(body, "resolve_q")?, "resolve_q", Ok)?;
         last_mem_outcome = snapshot::get_u64(body, "last_mem_outcome")?;
         now = snapshot::get_u64(body, "now")?;
@@ -388,9 +385,6 @@ fn run_with<O: Observer>(
             TrapModel::Branch,
             cfg.hier.l1i.line_bytes,
         );
-        if let Some((stream, degrade)) = handler_stream {
-            fe.set_handler_faults(stream, degrade);
-        }
         regs = [RegState::default(); 64];
         queue = VecDeque::with_capacity(2 * cfg.issue_width as usize);
         // At most one pending redirect resolution per queued instruction.
@@ -1106,8 +1100,6 @@ fn run_with<O: Observer>(
         informing_traps: fe.informing_traps(),
         mispredictions: fe.mispredictions(),
         branch_accuracy: fe.branch_accuracy(),
-        handler_faults: fe.handler_faults(),
-        degraded: fe.degraded(),
         mem: MemCounters {
             l1d_accesses: hier.stats().data_refs,
             l1d_misses: hier.stats().l1d_misses_to_l2 + hier.stats().l1d_misses_to_mem,
@@ -1121,14 +1113,10 @@ fn run_with<O: Observer>(
         rec.metrics.set("cpu.instructions", result.instructions);
         rec.metrics.set("cpu.informing_traps", result.informing_traps);
         rec.metrics.set("cpu.mispredictions", result.mispredictions);
-        rec.metrics.set("cpu.handler_faults", result.handler_faults);
         let (seen, dropped) = (rec.total_recorded(), rec.dropped());
         rec.metrics.set("obs.events_seen", seen);
         rec.metrics.set("obs.events_dropped", dropped);
         hier.stats().record_metrics(&mut rec.metrics);
-        if let Some(plan) = faults {
-            plan.config().record_metrics(&mut rec.metrics);
-        }
     }
     Ok(RunOutcome::Done(result, fe.into_state()))
 }

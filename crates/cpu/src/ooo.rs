@@ -235,7 +235,7 @@ pub fn simulate_full(
     cfg: &OooConfig,
     limits: RunLimits,
 ) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, None, None, None, None)?.expect_done()
+    run(program, cfg, limits, None, None, None)?.expect_done()
 }
 
 /// Like [`simulate_full`], but streams typed events into `rec` (gated by its
@@ -256,27 +256,7 @@ pub fn simulate_observed(
     limits: RunLimits,
     rec: &mut Recorder,
 ) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, None, None, Some(rec), None)?.expect_done()
-}
-
-/// Like [`simulate`], but drives the run under a [`imo_faults::FaultPlan`]:
-/// informing-trap dispatches draw handler faults (overrun / stale MHAR) from
-/// the plan's handler stream, paying their penalty on the trap redirect, and
-/// after `degrade_after` consecutive faulty dispatches the machine suppresses
-/// informing traps for the rest of the run (`RunResult::degraded`).
-///
-/// A plan with all-zero handler rates is cycle-identical to [`simulate`].
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_faulty(
-    program: &Program,
-    cfg: &OooConfig,
-    limits: RunLimits,
-    plan: &imo_faults::FaultPlan,
-) -> Result<RunResult, SimError> {
-    run(program, cfg, limits, None, Some(plan), None, None)?.expect_done().map(|(r, _)| r)
+    run(program, cfg, limits, None, Some(rec), None)?.expect_done()
 }
 
 /// Like [`simulate`], but records a per-instruction pipeline trace
@@ -292,8 +272,7 @@ pub fn simulate_traced(
     limits: RunLimits,
 ) -> Result<(RunResult, Vec<InstrTrace>), SimError> {
     let mut traces = Vec::new();
-    let (result, _) =
-        run(program, cfg, limits, Some(&mut traces), None, None, None)?.expect_done()?;
+    let (result, _) = run(program, cfg, limits, Some(&mut traces), None, None)?.expect_done()?;
     Ok((result, traces))
 }
 
@@ -343,13 +322,12 @@ pub(crate) fn run(
     cfg: &OooConfig,
     limits: RunLimits,
     trace: Option<&mut Vec<InstrTrace>>,
-    faults: Option<&imo_faults::FaultPlan>,
     obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     match obs {
-        Some(rec) => run_with(program, cfg, limits, trace, faults, rec, resume),
-        None => run_with(program, cfg, limits, trace, faults, &mut NoObs, resume),
+        Some(rec) => run_with(program, cfg, limits, trace, rec, resume),
+        None => run_with(program, cfg, limits, trace, &mut NoObs, resume),
     }
 }
 
@@ -359,14 +337,9 @@ fn run_with<O: Observer>(
     cfg: &OooConfig,
     limits: RunLimits,
     mut trace: Option<&mut Vec<InstrTrace>>,
-    faults: Option<&imo_faults::FaultPlan>,
     obs: &mut O,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
-    let handler_stream = faults
-        .filter(|plan| plan.config().has_handler())
-        .map(|plan| (plan.handlers(), plan.config().degrade_after));
-
     let mut hier;
     let mut fe;
     let mut mshrs;
@@ -396,7 +369,6 @@ fn run_with<O: Observer>(
             cfg.predictor_entries,
             cfg.trap_model,
             cfg.hier.l1i.line_bytes,
-            handler_stream,
             snapshot::field(body, "fe")?,
         )?;
         mshrs = MshrFile::from_wire(snapshot::field(body, "mshrs")?)?;
@@ -454,9 +426,6 @@ fn run_with<O: Observer>(
     } else {
         hier = MemoryHierarchy::new(cfg.hier);
         fe = FrontEnd::new(program, cfg.predictor_entries, cfg.trap_model, cfg.hier.l1i.line_bytes);
-        if let Some((stream, degrade)) = handler_stream {
-            fe.set_handler_faults(stream, degrade);
-        }
         mshrs = MshrFile::new(cfg.hier.mshrs, cfg.mshr_mode);
         rob = VecDeque::with_capacity(cfg.rob_entries as usize);
         rob_base = 0;
@@ -1088,8 +1057,6 @@ fn run_with<O: Observer>(
         informing_traps: fe.informing_traps(),
         mispredictions: fe.mispredictions(),
         branch_accuracy: fe.branch_accuracy(),
-        handler_faults: fe.handler_faults(),
-        degraded: fe.degraded(),
         mem: MemCounters {
             l1d_accesses: hier.stats().data_refs,
             l1d_misses: hier.stats().l1d_misses_to_l2 + hier.stats().l1d_misses_to_mem,
@@ -1103,14 +1070,10 @@ fn run_with<O: Observer>(
         rec.metrics.set("cpu.instructions", result.instructions);
         rec.metrics.set("cpu.informing_traps", result.informing_traps);
         rec.metrics.set("cpu.mispredictions", result.mispredictions);
-        rec.metrics.set("cpu.handler_faults", result.handler_faults);
         let (seen, dropped) = (rec.total_recorded(), rec.dropped());
         rec.metrics.set("obs.events_seen", seen);
         rec.metrics.set("obs.events_dropped", dropped);
         hier.stats().record_metrics(&mut rec.metrics);
-        if let Some(plan) = faults {
-            plan.config().record_metrics(&mut rec.metrics);
-        }
     }
     Ok(RunOutcome::Done(result, fe.into_state()))
 }

@@ -60,13 +60,6 @@ pub struct RunResult {
     pub mispredictions: u64,
     /// Branch-prediction accuracy over conditional branches.
     pub branch_accuracy: f64,
-    /// Injected miss-handler faults suffered (handler overruns, stale-MHAR
-    /// reloads); zero unless the run was driven by a fault plan.
-    pub handler_faults: u64,
-    /// The machine gave up on informing traps: after `degrade_after`
-    /// consecutive handler faults it suppressed further informing traps and
-    /// finished the run without them (graceful degradation).
-    pub degraded: bool,
     /// Memory-system counters.
     pub mem: MemCounters,
 }
@@ -94,8 +87,6 @@ impl Summarize for RunResult {
             .push("informing_traps", self.informing_traps)
             .push("mispredictions", self.mispredictions)
             .push("branch_accuracy", self.branch_accuracy)
-            .push("handler_faults", self.handler_faults)
-            .push("degraded", self.degraded as u64)
             .push("l1d_accesses", self.mem.l1d_accesses)
             .push("l1d_misses", self.mem.l1d_misses)
             .push("l1d_miss_rate", self.mem.l1d_miss_rate())
@@ -254,8 +245,6 @@ mod tests {
             informing_traps: 0,
             mispredictions: 0,
             branch_accuracy: 1.0,
-            handler_faults: 0,
-            degraded: false,
             mem: MemCounters::default(),
         };
         assert_eq!(r.ipc(), 2.5);
@@ -277,8 +266,6 @@ mod tests {
             informing_traps: 0,
             mispredictions: 0,
             branch_accuracy: 1.0,
-            handler_faults: 0,
-            degraded: false,
             mem: MemCounters::default(),
         };
         for v in [r.ipc(), r.mem.l1d_miss_rate(), r.mem.l2_miss_rate()] {
@@ -301,8 +288,6 @@ mod tests {
             informing_traps: 3,
             mispredictions: 1,
             branch_accuracy: 0.9,
-            handler_faults: 0,
-            degraded: false,
             mem: MemCounters { l1d_accesses: 200, l1d_misses: 20, l2_misses: 2, inst_misses: 0 },
         };
         let rep = r.report();

@@ -1,10 +1,10 @@
 //! One builder-style entry point over both core models, with checkpoint
 //! pause/resume.
 //!
-//! [`SimSession`] subsumes the `simulate` / `simulate_observed` /
-//! `simulate_faulty` twin entry points of [`crate::inorder`] and
-//! [`crate::ooo`]: the recorder and the fault plan are optional builder
-//! fields, and both cores run — and resume — through a single path.
+//! [`SimSession`] subsumes the `simulate` / `simulate_observed` twin entry
+//! points of [`crate::inorder`] and [`crate::ooo`]: the recorder is an
+//! optional builder field, and both cores run — and resume — through a
+//! single path.
 //!
 //! A session whose [`RunLimits::stop_at`] boundary is reached returns
 //! [`Outcome::Paused`] with a [`Checkpoint`]: a versioned wire object (see
@@ -37,7 +37,6 @@
 //! assert!(result.cycles > 10);
 //! ```
 
-use imo_faults::FaultPlan;
 use imo_isa::exec::ArchState;
 use imo_isa::Program;
 use imo_obs::Recorder;
@@ -76,7 +75,7 @@ impl CoreConfig {
 /// can cross a process boundary (`to_wire` → text → `from_wire`) and still
 /// resume bit-identically. The embedded configuration hash lets
 /// [`SimSession::resume`] reject a checkpoint taken under a different
-/// program, core configuration, or fault plan.
+/// program or core configuration.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     core: String,
@@ -95,7 +94,7 @@ impl Checkpoint {
 
 impl Snapshot for Checkpoint {
     const KIND: &'static str = "cpu.checkpoint";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn encode(&self) -> Json {
         Json::obj([
@@ -135,23 +134,21 @@ pub enum Outcome {
 /// A configured simulation run over either core model.
 ///
 /// Consuming builder: construct with [`SimSession::new`], optionally attach
-/// [`SimSession::limits`], [`SimSession::faults`] and
-/// [`SimSession::recorder`], then [`SimSession::run`] or
-/// [`SimSession::resume`].
+/// [`SimSession::limits`] and [`SimSession::recorder`], then
+/// [`SimSession::run`] or [`SimSession::resume`].
 pub struct SimSession<'p, 'r> {
     program: &'p Program,
     core: CoreConfig,
     limits: RunLimits,
-    faults: Option<FaultPlan>,
     recorder: Option<&'r mut Recorder>,
 }
 
 impl<'p, 'r> SimSession<'p, 'r> {
-    /// A session over `program` on the given core, with default limits, no
-    /// fault plan, and no recorder.
+    /// A session over `program` on the given core, with default limits and
+    /// no recorder.
     #[must_use]
     pub fn new(program: &'p Program, core: CoreConfig) -> SimSession<'p, 'r> {
-        SimSession { program, core, limits: RunLimits::default(), faults: None, recorder: None }
+        SimSession { program, core, limits: RunLimits::default(), recorder: None }
     }
 
     /// Sets the run limits (including the [`RunLimits::stop_at`] checkpoint
@@ -159,13 +156,6 @@ impl<'p, 'r> SimSession<'p, 'r> {
     #[must_use]
     pub fn limits(mut self, limits: RunLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Drives the run under a fault plan (informing-trap handler faults).
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -178,14 +168,13 @@ impl<'p, 'r> SimSession<'p, 'r> {
         self
     }
 
-    /// Hash binding a checkpoint to this exact (program, core configuration,
-    /// fault plan) triple. `Debug`-based, like the sweep memo keys: two
+    /// Hash binding a checkpoint to this exact (program, core
+    /// configuration) pair. `Debug`-based, like the sweep memo keys: two
     /// sessions hash equal iff their configurations render identically.
     fn cfg_hash(&self) -> u64 {
         let core = imo_util::debug_hash(&self.core);
         let prog = imo_util::debug_hash(self.program);
-        let faults = self.faults.as_ref().map_or(0, |p| 1 ^ imo_util::debug_hash(p.config()));
-        mix64(mix64(core, prog), faults)
+        mix64(core, prog)
     }
 
     /// Runs the session from the program's entry.
@@ -199,7 +188,7 @@ impl<'p, 'r> SimSession<'p, 'r> {
     }
 
     /// Resumes the session from a checkpoint taken by an earlier run with
-    /// the same program, core configuration and fault plan.
+    /// the same program and core configuration.
     ///
     /// # Errors
     ///
@@ -221,14 +210,10 @@ impl<'p, 'r> SimSession<'p, 'r> {
 
     fn go(self, resume: Option<&Json>) -> Result<Outcome, SimError> {
         let cfg_hash = self.cfg_hash();
-        let SimSession { program, core, limits, faults, recorder } = self;
+        let SimSession { program, core, limits, recorder } = self;
         let outcome = match &core {
-            CoreConfig::InOrder(cfg) => {
-                inorder::run(program, cfg, limits, faults.as_ref(), recorder, resume)?
-            }
-            CoreConfig::Ooo(cfg) => {
-                ooo::run(program, cfg, limits, None, faults.as_ref(), recorder, resume)?
-            }
+            CoreConfig::InOrder(cfg) => inorder::run(program, cfg, limits, recorder, resume)?,
+            CoreConfig::Ooo(cfg) => ooo::run(program, cfg, limits, None, recorder, resume)?,
         };
         Ok(match outcome {
             RunOutcome::Done(result, state) => Outcome::Complete { result, state },
@@ -339,13 +324,6 @@ mod tests {
         cfg.rob_entries += 1;
         let err = SimSession::new(&p, CoreConfig::Ooo(cfg)).resume(&ckpt).unwrap_err();
         assert!(matches!(err, SimError::Checkpoint(SnapshotError::Bad("cfg_hash"))), "{err}");
-        // Wrong fault plan.
-        let plan = FaultPlan::new(imo_faults::FaultConfig::uniform(1, 0.1));
-        let err = SimSession::new(&p, CoreConfig::Ooo(OooConfig::paper()))
-            .faults(plan)
-            .resume(&ckpt)
-            .unwrap_err();
-        assert!(matches!(err, SimError::Checkpoint(SnapshotError::Bad("cfg_hash"))), "{err}");
     }
 
     #[test]
@@ -363,30 +341,6 @@ mod tests {
         let back = Checkpoint::from_wire(&imo_util::json::parse(&text).unwrap()).expect("decodes");
         assert_eq!(back.to_wire().pretty(), text, "re-encode is byte-stable");
         let resumed = complete(SimSession::new(&p, core).resume(&back).unwrap());
-        assert_eq!(resumed, baseline);
-    }
-
-    #[test]
-    fn faulty_session_resumes_mid_fault_stream() {
-        let p = kernel();
-        let mut fc = imo_faults::FaultConfig::none(3);
-        fc.handler_overrun_rate = 0.5;
-        fc.handler_overrun_cycles = 25;
-        let plan = FaultPlan::new(fc);
-        let core = CoreConfig::Ooo(OooConfig::paper());
-        let baseline =
-            crate::ooo::simulate_faulty(&p, &OooConfig::paper(), RunLimits::default(), &plan)
-                .unwrap();
-        assert!(baseline.handler_faults > 0, "fault pressure reaches the handler stream");
-        let Outcome::Paused(ckpt) = SimSession::new(&p, core)
-            .faults(plan)
-            .limits(RunLimits::stop_at(baseline.cycles / 2))
-            .run()
-            .unwrap()
-        else {
-            panic!("pauses")
-        };
-        let resumed = complete(SimSession::new(&p, core).faults(plan).resume(&ckpt).unwrap());
         assert_eq!(resumed, baseline);
     }
 }

@@ -148,7 +148,7 @@ pub enum BlockExit {
     /// (taken or not-taken branch, jump).
     Control,
     /// The last executed instruction was an informing operation that missed
-    /// and dispatched its handler — the point where a fault plan may draw.
+    /// and dispatched its handler.
     Trap,
     /// The machine halted.
     Halted,
@@ -190,7 +190,6 @@ pub struct ArchState {
     mar: u64,
     last_depth: MissDepth,
     in_handler: bool,
-    informing_suppressed: bool,
     halted: bool,
 }
 
@@ -206,7 +205,6 @@ impl ArchState {
             mar: 0,
             last_depth: MissDepth::Hit,
             in_handler: false,
-            informing_suppressed: false,
             halted: false,
         }
     }
@@ -284,21 +282,6 @@ impl ArchState {
         self.in_handler
     }
 
-    /// Whether informing traps are administratively suppressed (graceful
-    /// degradation after repeated miss-handler faults). While set, informing
-    /// loads/stores behave like their normal counterparts: the miss condition
-    /// codes and MAR still update, but no handler is dispatched. The `bmiss`
-    /// branch is *not* suppressed — it is an architectural branch, not a trap.
-    pub fn informing_suppressed(&self) -> bool {
-        self.informing_suppressed
-    }
-
-    /// Enables or disables informing-trap suppression (see
-    /// [`ArchState::informing_suppressed`]).
-    pub fn set_informing_suppressed(&mut self, suppressed: bool) {
-        self.informing_suppressed = suppressed;
-    }
-
     /// Whether the machine has executed `halt`.
     pub fn halted(&self) -> bool {
         self.halted
@@ -317,7 +300,7 @@ impl ArchState {
 
 impl Snapshot for ArchState {
     const KIND: &'static str = "isa.arch_state";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn encode(&self) -> Json {
         let fp_bits: Vec<u64> = self.fp.iter().map(|v| v.to_bits()).collect();
@@ -330,7 +313,6 @@ impl Snapshot for ArchState {
             ("mar", snapshot::u64_json(self.mar)),
             ("last_depth", snapshot::u64_json(self.last_depth as u64)),
             ("in_handler", Json::Bool(self.in_handler)),
-            ("informing_suppressed", Json::Bool(self.informing_suppressed)),
             ("halted", Json::Bool(self.halted)),
             ("mem", self.mem.encode()),
         ])
@@ -361,7 +343,6 @@ impl Snapshot for ArchState {
             mar: snapshot::get_u64(data, "mar")?,
             last_depth,
             in_handler: snapshot::get_bool(data, "in_handler")?,
-            informing_suppressed: snapshot::get_bool(data, "informing_suppressed")?,
             halted: snapshot::get_bool(data, "halted")?,
         })
     }
@@ -491,12 +472,7 @@ impl<'p> Executor<'p> {
                     l1_miss: miss,
                     kind,
                 });
-                if miss
-                    && kind == MemKind::Informing
-                    && s.mhar != 0
-                    && !s.in_handler
-                    && !s.informing_suppressed
-                {
+                if miss && kind == MemKind::Informing && s.mhar != 0 && !s.in_handler {
                     s.mhrr = pc.wrapping_add(4);
                     s.in_handler = true;
                     next_pc = s.mhar;
@@ -520,12 +496,7 @@ impl<'p> Executor<'p> {
                     l1_miss: miss,
                     kind,
                 });
-                if miss
-                    && kind == MemKind::Informing
-                    && s.mhar != 0
-                    && !s.in_handler
-                    && !s.informing_suppressed
-                {
+                if miss && kind == MemKind::Informing && s.mhar != 0 && !s.in_handler {
                     s.mhrr = pc.wrapping_add(4);
                     s.in_handler = true;
                     next_pc = s.mhar;
@@ -618,8 +589,7 @@ impl<'p> Executor<'p> {
 
     /// Executes up to `max_steps` instructions in one call, stopping early
     /// at the first batch-breaking event: a primary-cache miss, any control
-    /// transfer (including an informing trap, where a fault plan may need to
-    /// draw), or halt. `max_steps` is the caller's watch boundary — a
+    /// transfer (including an informing trap), or halt. `max_steps` is the caller's watch boundary — a
     /// checkpoint `stop_at` or fetch-group limit lands there exactly.
     ///
     /// Semantics are single-sourced: each instruction goes through

@@ -1,7 +1,6 @@
 //! Set-associative cache state model.
 
 use crate::config::CacheConfig;
-use crate::ecc::{EccEvent, EccFailure};
 use imo_util::json::Json;
 use imo_util::snapshot::{self, Snapshot, SnapshotError};
 
@@ -38,10 +37,6 @@ pub struct CacheStats {
     pub writebacks: u64,
     /// Lines removed by explicit invalidation.
     pub invalidations: u64,
-    /// Single-bit ECC faults corrected in place.
-    pub ecc_corrected: u64,
-    /// Double-bit ECC faults detected (line discarded, access failed).
-    pub ecc_uncorrectable: u64,
 }
 
 impl CacheStats {
@@ -228,39 +223,6 @@ impl Cache {
         None
     }
 
-    /// Invalidates the line containing `addr`, checking ECC on the way out.
-    ///
-    /// This is the faulty-substrate variant of [`Cache::invalidate`], used by
-    /// the coherence simulator when a fault plan schedules an ECC event on
-    /// the line being recalled:
-    ///
-    /// * `fault == None` — behaves exactly like [`Cache::invalidate`].
-    /// * `Some(EccEvent::SingleBit)` — the code corrects the flip; the
-    ///   invalidation proceeds normally and `ecc_corrected` is bumped.
-    /// * `Some(EccEvent::DoubleBit)` — detectable but uncorrectable. The line
-    ///   is still removed (its contents cannot be trusted), `ecc_uncorrectable`
-    ///   is bumped, and an [`EccFailure`] reports whether dirty data was lost.
-    ///
-    /// ECC events on an absent line are ignored (there is nothing to check).
-    pub fn invalidate_ecc(
-        &mut self,
-        addr: u64,
-        fault: Option<EccEvent>,
-    ) -> Result<Option<bool>, EccFailure> {
-        let removed = self.invalidate(addr);
-        match (fault, removed) {
-            (Some(EccEvent::SingleBit), Some(dirty)) => {
-                self.stats.ecc_corrected += 1;
-                Ok(Some(dirty))
-            }
-            (Some(EccEvent::DoubleBit), Some(dirty)) => {
-                self.stats.ecc_uncorrectable += 1;
-                Err(EccFailure { addr, dirty })
-            }
-            (_, removed) => Ok(removed),
-        }
-    }
-
     /// Invalidates every line (e.g. at a simulated context switch).
     pub fn flush(&mut self) {
         for w in &mut self.sets {
@@ -301,8 +263,6 @@ fn stats_json(s: &CacheStats) -> Json {
         ("misses", snapshot::u64_json(s.misses)),
         ("writebacks", snapshot::u64_json(s.writebacks)),
         ("invalidations", snapshot::u64_json(s.invalidations)),
-        ("ecc_corrected", snapshot::u64_json(s.ecc_corrected)),
-        ("ecc_uncorrectable", snapshot::u64_json(s.ecc_uncorrectable)),
     ])
 }
 
@@ -312,14 +272,12 @@ fn decode_stats(data: &Json) -> Result<CacheStats, SnapshotError> {
         misses: snapshot::get_u64(data, "misses")?,
         writebacks: snapshot::get_u64(data, "writebacks")?,
         invalidations: snapshot::get_u64(data, "invalidations")?,
-        ecc_corrected: snapshot::get_u64(data, "ecc_corrected")?,
-        ecc_uncorrectable: snapshot::get_u64(data, "ecc_uncorrectable")?,
     })
 }
 
 impl Snapshot for Cache {
     const KIND: &'static str = "mem.cache";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     /// Way state is emitted as four parallel columns (packed valid/dirty
     /// bits, hex-concatenated tags and LRU stamps) so the encoding stays
@@ -480,41 +438,6 @@ mod tests {
         c.access(0, false);
         c.access(0, false);
         assert_eq!(c.stats().miss_rate(), 0.5);
-    }
-
-    #[test]
-    fn ecc_single_bit_corrects_and_invalidates() {
-        let mut c = small();
-        c.access(0, true);
-        let r = c.invalidate_ecc(0, Some(EccEvent::SingleBit));
-        assert_eq!(r, Ok(Some(true)));
-        assert!(!c.contains(0));
-        assert_eq!(c.stats().ecc_corrected, 1);
-        assert_eq!(c.stats().ecc_uncorrectable, 0);
-    }
-
-    #[test]
-    fn ecc_double_bit_fails_and_discards() {
-        let mut c = small();
-        c.access(0, true);
-        let r = c.invalidate_ecc(0, Some(EccEvent::DoubleBit));
-        assert_eq!(r, Err(EccFailure { addr: 0, dirty: true }));
-        assert!(!c.contains(0), "untrustworthy line must still be discarded");
-        assert_eq!(c.stats().ecc_uncorrectable, 1);
-        // Clean double-bit failure is reported as non-lossy.
-        c.access(32, false);
-        let r = c.invalidate_ecc(32, Some(EccEvent::DoubleBit));
-        assert_eq!(r, Err(EccFailure { addr: 32, dirty: false }));
-    }
-
-    #[test]
-    fn ecc_on_absent_line_is_ignored() {
-        let mut c = small();
-        assert_eq!(c.invalidate_ecc(0, Some(EccEvent::DoubleBit)), Ok(None));
-        assert_eq!(c.stats().ecc_uncorrectable, 0);
-        // And the no-fault path matches plain invalidate.
-        c.access(0, false);
-        assert_eq!(c.invalidate_ecc(0, None), Ok(Some(false)));
     }
 
     #[test]

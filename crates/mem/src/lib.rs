@@ -8,10 +8,6 @@
 //!   with true-LRU replacement, line invalidation (needed by the §3.3
 //!   squash-invalidate mechanism and the coherence case study), and
 //!   statistics.
-//! * [`ecc`] — an ECC fault model on cache lines (single-bit correctable /
-//!   double-bit detect-fail), hooked into the invalidation path via
-//!   [`Cache::invalidate_ecc`]; this is the substrate the §4.3 Blizzard-E
-//!   style access-control study perturbs.
 //! * [`MshrFile`] — Miss Status Handling Registers for a lockup-free primary
 //!   cache, including the paper's §3.3 *lifetime extension*: an MSHR is held
 //!   until its memory operation graduates or is squashed, and a squash
@@ -34,12 +30,10 @@
 
 pub mod cache;
 pub mod config;
-pub mod ecc;
 pub mod hier;
 pub mod mshr;
 
 pub use cache::{Cache, CacheStats, Probe};
 pub use config::{CacheConfig, HierarchyConfig, HitLevel};
-pub use ecc::{EccEvent, EccFailure};
 pub use hier::{AccessTiming, MemoryHierarchy, ProbeResult};
 pub use mshr::{MshrFile, MshrId, MshrMode};

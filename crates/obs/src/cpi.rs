@@ -27,10 +27,10 @@ pub enum CpiCategory {
     /// memory.
     L2Miss,
     /// Fetch was redirected into (or blocked on) an informing-trap miss
-    /// handler, including injected handler-fault penalties.
+    /// handler.
     Handler,
     /// Waiting on the coherence protocol: network hops, directory state
-    /// changes, NACK/retry backoff, timeouts, ECC recovery on recalls.
+    /// changes, retry backoff and timeouts.
     CoherenceWait,
 }
 

@@ -45,23 +45,15 @@ pub enum Category {
     Mshr,
     /// Informing-trap entry and return.
     Trap,
-    /// Coherence protocol traffic (requests, drops, retries, NACKs,
+    /// Coherence protocol traffic (accesses, requests, drops, retries,
     /// invalidations).
     Coherence,
-    /// Injected faults and ECC events.
-    Fault,
 }
 
 impl Category {
     /// Every category, in mask-bit order.
-    pub const ALL: [Category; 6] = [
-        Category::Pipeline,
-        Category::Cache,
-        Category::Mshr,
-        Category::Trap,
-        Category::Coherence,
-        Category::Fault,
-    ];
+    pub const ALL: [Category; 5] =
+        [Category::Pipeline, Category::Cache, Category::Mshr, Category::Trap, Category::Coherence];
 
     /// This category's bit in a [`CategoryMask`].
     #[must_use]
@@ -78,7 +70,6 @@ impl Category {
             Category::Mshr => "mshr",
             Category::Trap => "trap",
             Category::Coherence => "coherence",
-            Category::Fault => "fault",
         }
     }
 
@@ -97,7 +88,7 @@ impl CategoryMask {
     /// No categories enabled: the recorder drops everything.
     pub const NONE: CategoryMask = CategoryMask(0);
     /// Every category enabled.
-    pub const ALL: CategoryMask = CategoryMask((1 << 6) - 1);
+    pub const ALL: CategoryMask = CategoryMask((1 << 5) - 1);
 
     /// A mask of exactly the given categories.
     #[must_use]
@@ -223,14 +214,6 @@ pub enum EventKind {
         /// Sequence number of the returning jump.
         seq: u64,
     },
-    /// An injected miss-handler fault (overrun / stale MHAR) hit this trap
-    /// dispatch.
-    HandlerFault {
-        /// Sequence number of the trapping operation.
-        seq: u64,
-        /// Extra redirect cycles charged.
-        penalty: u64,
-    },
     /// A directory protocol request was sent.
     CohRequest {
         /// Requesting processor.
@@ -254,13 +237,6 @@ pub enum EventKind {
         /// Backoff cycles waited before this re-send.
         backoff: u64,
     },
-    /// The home node NACKed a duplicate request.
-    CohNack {
-        /// Requesting processor.
-        proc: u32,
-        /// Line the request was for.
-        line: u64,
-    },
     /// A per-processor data reference probed a private cache in the
     /// coherence simulator (local time; one event per driven op).
     CohAccess {
@@ -282,16 +258,6 @@ pub enum EventKind {
         /// Invalidated line.
         line: u64,
     },
-    /// A single-bit ECC fault was corrected on a recalled line.
-    EccCorrected {
-        /// Affected line.
-        line: u64,
-    },
-    /// A double-bit ECC fault lost a recalled line (refetched from memory).
-    EccUncorrectable {
-        /// Affected line.
-        line: u64,
-    },
 }
 
 impl EventKind {
@@ -309,12 +275,8 @@ impl EventKind {
             EventKind::CohRequest { .. }
             | EventKind::CohDrop { .. }
             | EventKind::CohRetry { .. }
-            | EventKind::CohNack { .. }
             | EventKind::CohAccess { .. }
             | EventKind::CohInvalidate { .. } => Category::Coherence,
-            EventKind::HandlerFault { .. }
-            | EventKind::EccCorrected { .. }
-            | EventKind::EccUncorrectable { .. } => Category::Fault,
         }
     }
 
@@ -331,15 +293,11 @@ impl EventKind {
             EventKind::MshrMerge { .. } => "mshr_merge",
             EventKind::TrapEnter { .. } => "trap_enter",
             EventKind::TrapReturn { .. } => "trap_return",
-            EventKind::HandlerFault { .. } => "handler_fault",
             EventKind::CohRequest { .. } => "coh_request",
             EventKind::CohDrop { .. } => "coh_drop",
             EventKind::CohRetry { .. } => "coh_retry",
-            EventKind::CohNack { .. } => "coh_nack",
             EventKind::CohAccess { .. } => "coh_access",
             EventKind::CohInvalidate { .. } => "coh_invalidate",
-            EventKind::EccCorrected { .. } => "ecc_corrected",
-            EventKind::EccUncorrectable { .. } => "ecc_uncorrectable",
         }
     }
 
@@ -353,7 +311,6 @@ impl EventKind {
             EventKind::CohRequest { proc, .. }
             | EventKind::CohDrop { proc, .. }
             | EventKind::CohRetry { proc, .. }
-            | EventKind::CohNack { proc, .. }
             | EventKind::CohAccess { proc, .. }
             | EventKind::CohInvalidate { proc, .. } => PROC_LANE_BASE + proc,
             other => other.category() as u32,
@@ -391,7 +348,7 @@ mod tests {
         assert_eq!(CategoryMask::parse("all"), Some(CategoryMask::ALL));
         assert_eq!(CategoryMask::parse("none"), Some(CategoryMask::NONE));
         assert_eq!(CategoryMask::parse("bogus"), None);
-        assert_eq!(CategoryMask::ALL.to_string(), "pipeline,cache,mshr,trap,coherence,fault");
+        assert_eq!(CategoryMask::ALL.to_string(), "pipeline,cache,mshr,trap,coherence");
     }
 
     #[test]
@@ -417,15 +374,13 @@ mod tests {
         );
         assert_eq!(EventKind::MshrMerge { line: 0 }.category(), Category::Mshr);
         assert_eq!(EventKind::TrapEnter { seq: 0, pc: 0 }.category(), Category::Trap);
-        assert_eq!(EventKind::CohNack { proc: 3, line: 0 }.category(), Category::Coherence);
-        assert_eq!(EventKind::EccCorrected { line: 0 }.category(), Category::Fault);
-        assert_eq!(EventKind::HandlerFault { seq: 0, penalty: 9 }.category(), Category::Fault);
+        assert_eq!(EventKind::CohDrop { proc: 3, line: 0 }.category(), Category::Coherence);
     }
 
     #[test]
     fn coherence_events_get_per_proc_tracks() {
         assert_eq!(EventKind::CohRequest { proc: 5, line: 0 }.track(), 21);
         assert_eq!(EventKind::Fetch { seq: 0, pc: 0 }.track(), 0);
-        assert_eq!(EventKind::EccCorrected { line: 0 }.track(), Category::Fault as u32);
+        assert_eq!(EventKind::MshrAllocate { line: 0 }.track(), Category::Mshr as u32);
     }
 }

@@ -100,12 +100,8 @@ fn args(kind: EventKind) -> Json {
         EventKind::TrapEnter { seq, pc } => {
             Json::obj([("seq", Json::from(seq)), ("pc", Json::from(format!("{pc:#x}")))])
         }
-        EventKind::HandlerFault { seq, penalty } => {
-            Json::obj([("seq", Json::from(seq)), ("penalty", Json::from(penalty))])
-        }
         EventKind::CohRequest { proc, line }
         | EventKind::CohDrop { proc, line }
-        | EventKind::CohNack { proc, line }
         | EventKind::CohInvalidate { proc, line } => Json::obj([
             ("proc", Json::from(u64::from(proc))),
             ("line", Json::from(format!("{line:#x}"))),
@@ -121,9 +117,6 @@ fn args(kind: EventKind) -> Json {
             ("line", Json::from(format!("{line:#x}"))),
             ("backoff", Json::from(backoff)),
         ]),
-        EventKind::EccCorrected { line } | EventKind::EccUncorrectable { line } => {
-            Json::obj([("line", Json::from(format!("{line:#x}")))])
-        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! itself. It provides four pieces, all zero-dependency and deterministic:
 //!
 //! - **Typed events** ([`Event`]/[`EventKind`]): fetch/issue/graduate,
-//!   cache and MSHR outcomes, informing-trap entry/return, coherence
-//!   traffic, ECC and fault injections — recorded into a bounded ring
+//!   cache and MSHR outcomes, informing-trap entry/return, and coherence
+//!   traffic including dropped messages — recorded into a bounded ring
 //!   buffer [`Recorder`] gated by a per-category [`CategoryMask`]. The CPU
 //!   cores are generic over [`Observer`]; their [`NoObs`] instance compiles
 //!   the record sites out, a `None` recorder elsewhere (or an empty mask)

@@ -187,7 +187,7 @@ mod tests {
     fn disabled_recorder_retains_nothing() {
         let mut r = Recorder::disabled();
         r.record(1, ev(0));
-        r.record(2, EventKind::EccCorrected { line: 0 });
+        r.record(2, EventKind::CohDrop { proc: 0, line: 0 });
         assert!(r.is_empty());
         assert_eq!(r.total_recorded(), 0);
         assert_eq!(r.dropped(), 0);

@@ -259,16 +259,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the bound keeps hostile input (a corrupt store entry, an
+/// edited checkpoint) from overflowing the stack; the deepest document the
+/// simulator writes, a CPU checkpoint, nests 8 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (strict enough for round-tripping our own output
 /// and hand-written configs; no comments, no trailing commas).
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input or trailing garbage.
+/// Returns [`ParseError`] on malformed input, trailing garbage, or arrays
+/// and objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let b = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(text, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(ParseError { at: pos, msg: "trailing characters" });
@@ -291,14 +298,20 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing arrays
+/// and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(ParseError { at: *pos, msg: "unexpected end of input" }),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(ParseError { at: *pos, msg: "nesting too deep" })
+        }
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -308,7 +321,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -330,10 +343,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -359,7 +372,8 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Pars
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, ParseError> {
+    let b = text.as_bytes();
     expect(b, pos, b'"')?;
     let mut s = String::new();
     loop {
@@ -399,12 +413,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = &b[*pos..];
-                let ch = std::str::from_utf8(&rest[..rest.len().min(4)])
-                    .ok()
-                    .and_then(|t| t.chars().next())
-                    .or_else(|| std::str::from_utf8(rest).ok().and_then(|t| t.chars().next()))
+                // Consume one scalar. Every step of the parser advances over
+                // whole characters, so `pos` is a char boundary.
+                let ch = text
+                    .get(*pos..)
+                    .and_then(|rest| rest.chars().next())
                     .ok_or(ParseError { at: *pos, msg: "invalid UTF-8" })?;
                 s.push(ch);
                 *pos += ch.len_utf8();
@@ -489,6 +502,26 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "the first bracket past the limit");
+        // Objects count toward the same limit.
+        let objs = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objs).is_err());
+        // Far past the limit is a typed error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn multi_byte_strings_round_trip() {
+        let v = Json::obj([("é€", Json::from("aé€😀z".repeat(64))), ("k", Json::from("€"))]);
+        assert_eq!(parse(&v.pretty()).unwrap(), v);
+        assert_eq!(parse(&v.compact()).unwrap(), v);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub const STORE_KIND: &str = "imo.store";
 
 /// On-disk schema version; bump on any incompatible entry-format change.
 /// Old versions become unreadable garbage under `v<old>/`, never misreads.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Whether a [`Store`] may write (and repair) entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,6 +11,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== lockfiles are current (cargo metadata --locked) =="
+# Fails if either Cargo.lock would need rewriting: the workspace's, and the
+# one perfbench/ (a separate workspace over the same path crates) records
+# for the path crates' dependency edges.
+cargo metadata --locked --offline --format-version 1 > /dev/null
+cargo metadata --locked --offline --format-version 1 --manifest-path perfbench/Cargo.toml > /dev/null
+
 echo "== cargo build --release =="
 cargo build --release --offline
 

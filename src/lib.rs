@@ -23,8 +23,8 @@
 //! * [`coherence`] — the §4.3 case study: fine-grained access control for
 //!   cache coherence on a simulated 16-processor machine, with a resilient
 //!   directory protocol (retry/backoff, timeouts, forward-progress watchdog).
-//! * [`faults`] — deterministic, seed-driven fault injection: reproducible
-//!   fault schedules for the interconnect, cache lines and miss handlers.
+//! * [`faults`] — deterministic, seed-driven message drops on the coherence
+//!   interconnect, which the directory protocol survives by retrying.
 //! * [`obs`] — the deterministic observability layer: typed event tracing
 //!   into a bounded ring buffer, a shared metrics registry with latency
 //!   histograms, exact CPI-stack cycle attribution, and Chrome-trace /

@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 use std::process::Command;
 
 use imo_bench::codec::result_json;
-use imo_faults::{FaultConfig, FaultPlan};
 use imo_util::check::Checker;
 use imo_util::ensure_eq;
 use imo_util::snapshot::{self, Snapshot, SnapshotError};
@@ -156,47 +155,6 @@ fn observed_resume_reconciles_cpi_exactly() {
     }
 }
 
-/// Fault injection rides the same loops: three seeded plans pause mid-run
-/// (mid-fault-stream) on both cores, cross the wire, and resume identically.
-#[test]
-fn seeded_faulty_checkpoints_resume_identically() {
-    let p = (by_name("compress").expect("workload exists").build)(Scale::Test);
-    let scheme =
-        Scheme::Trap { handlers: HandlerKind::Single, body: HandlerBody::Generic { len: 10 } };
-    let inst = instrument(&p, &scheme).expect("instruments");
-    for seed in [1u64, 2, 3] {
-        let mut fc = FaultConfig::none(seed);
-        fc.handler_overrun_rate = 0.2;
-        fc.handler_overrun_cycles = 40;
-        fc.stale_mhar_rate = 0.1;
-        fc.stale_mhar_cycles = 25;
-        let plan = FaultPlan::new(fc);
-        for machine in [Machine::default_ooo(), Machine::default_in_order()] {
-            let baseline = complete(
-                SimSession::new(&inst.program, machine.core_config())
-                    .faults(plan)
-                    .run()
-                    .expect("faulty baseline"),
-            );
-            assert!(baseline.handler_faults > 0, "seed {seed} must actually inject faults");
-            let outcome = SimSession::new(&inst.program, machine.core_config())
-                .faults(plan)
-                .limits(RunLimits::stop_at(baseline.cycles / 2))
-                .run()
-                .expect("faulty run pauses");
-            let Outcome::Paused(ckpt) = outcome else { panic!("must pause at midpoint") };
-            let (back, _) = wire_trip(&ckpt);
-            let resumed = complete(
-                SimSession::new(&inst.program, machine.core_config())
-                    .faults(plan)
-                    .resume(&back)
-                    .expect("faulty resume completes"),
-            );
-            assert_eq!(resumed, baseline, "seed {seed} on {}", machine.name());
-        }
-    }
-}
-
 /// Pauses landing inside the fast path's split plain-run queue: the compact
 /// run descriptors must rematerialize into the exact fetch-queue entries the
 /// generic loop would hold, byte-stably across the wire, and resume onto the
@@ -324,8 +282,8 @@ fn chained_slices_resume_bit_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// Malformed windows: a checkpoint whose reorder buffer dispatch could not
-// have built is rejected on resume, not simulated.
+// Malformed windows: a checkpoint whose reorder buffer or fetch queue the
+// core could not have built is rejected on resume, not simulated.
 // ---------------------------------------------------------------------------
 
 /// The object field `key` of `j`, mutably.
@@ -346,14 +304,14 @@ fn arr_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
     }
 }
 
-/// Pauses xlisp trap-10S on the out-of-order core at cycle 237, with
-/// several instructions in its reorder buffer, lets `edit` change the
-/// checkpoint body's wire, and resumes the edited checkpoint.
-fn resume_edited(edit: impl FnOnce(&mut Json)) -> Result<Outcome, SimError> {
+/// Pauses xlisp trap-10S on `machine` at cycle 237, with several
+/// instructions in flight (in the out-of-order core's reorder buffer, or the
+/// in-order core's fetch queue), lets `edit` change the checkpoint body's
+/// wire, and resumes the edited checkpoint.
+fn resume_edited(machine: Machine, edit: impl FnOnce(&mut Json)) -> Result<Outcome, SimError> {
     let p = (by_name("xlisp").expect("workload exists").build)(Scale::Test);
     let [_, (_, trap), _] = schemes();
     let inst = instrument(&p, &trap).expect("instruments");
-    let machine = Machine::default_ooo();
     let outcome = SimSession::new(&inst.program, machine.core_config())
         .limits(RunLimits::stop_at(237))
         .run()
@@ -361,7 +319,8 @@ fn resume_edited(edit: impl FnOnce(&mut Json)) -> Result<Outcome, SimError> {
     let Outcome::Paused(ckpt) = outcome else { panic!("cycle 237 is before the end") };
     let mut wire = ckpt.to_wire();
     let body = field_mut(field_mut(&mut wire, "data"), "body");
-    assert!(arr_mut(body, "rob").len() >= 4, "the pause must catch a populated ROB");
+    let window = if matches!(machine, Machine::OutOfOrder(_)) { "rob" } else { "queue" };
+    assert!(arr_mut(body, window).len() >= 4, "the pause must catch a populated {window}");
     edit(body);
     let edited = Checkpoint::from_wire(&wire).expect("edited wire still decodes");
     SimSession::new(&inst.program, machine.core_config()).resume(&edited)
@@ -379,7 +338,7 @@ fn assert_bad(result: Result<Outcome, SimError>, field: &str) {
 #[test]
 fn oversized_rob_checkpoint_is_rejected() {
     assert_bad(
-        resume_edited(|body| {
+        resume_edited(Machine::default_ooo(), |body| {
             let rob = arr_mut(body, "rob");
             let last = rob.last().expect("non-empty").clone();
             rob.resize(70, last);
@@ -392,7 +351,7 @@ fn oversized_rob_checkpoint_is_rejected() {
 #[test]
 fn noncontiguous_rob_checkpoint_is_rejected() {
     assert_bad(
-        resume_edited(|body| {
+        resume_edited(Machine::default_ooo(), |body| {
             let entry = &mut arr_mut(body, "rob")[1];
             *field_mut(field_mut(entry, "f"), "seq") = snapshot::u64_json(1_000_000);
         }),
@@ -406,7 +365,7 @@ fn noncontiguous_rob_checkpoint_is_rejected() {
 #[test]
 fn overfull_fetch_queue_checkpoint_is_rejected() {
     assert_bad(
-        resume_edited(|body| {
+        resume_edited(Machine::default_ooo(), |body| {
             let record = field_mut(&mut arr_mut(body, "rob")[0], "f").clone();
             arr_mut(body, "fetch_q").resize(12, record);
         }),
@@ -414,11 +373,37 @@ fn overfull_fetch_queue_checkpoint_is_rejected() {
     );
 }
 
+/// An in-order fetch queue padded past what the fetch stage can fill (it
+/// fetches only while fewer than `2 × issue_width` entries are queued) to 70
+/// entries.
+#[test]
+fn oversized_inorder_queue_checkpoint_is_rejected() {
+    assert_bad(
+        resume_edited(Machine::default_in_order(), |body| {
+            let queue = arr_mut(body, "queue");
+            let last = queue.last().expect("non-empty").clone();
+            queue.resize(70, last);
+        }),
+        "queue",
+    );
+}
+
+/// An in-order fetch-queue entry whose seq breaks contiguity.
+#[test]
+fn noncontiguous_inorder_queue_checkpoint_is_rejected() {
+    assert_bad(
+        resume_edited(Machine::default_in_order(), |body| {
+            *field_mut(&mut arr_mut(body, "queue")[1], "seq") = snapshot::u64_json(1_000_000);
+        }),
+        "queue",
+    );
+}
+
 /// A rename map naming an instruction that was never dispatched.
 #[test]
 fn undispatched_rename_checkpoint_is_rejected() {
     assert_bad(
-        resume_edited(|body| {
+        resume_edited(Machine::default_ooo(), |body| {
             arr_mut(body, "last_writer")[1] = snapshot::u64_json(1_000_000);
         }),
         "last_writer",

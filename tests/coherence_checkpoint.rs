@@ -5,10 +5,9 @@
 //! The coherence twin of `tests/checkpoint_identity.rs`: every test demands
 //! that a resumed run's [`SimResult`] is bit-identical to the uninterrupted
 //! one — completion time, per-processor finish times, protocol actions,
-//! invalidations, and (under an injected-faulty interconnect) the retry,
-//! timeout, and NACK counters. The matrix must include pauses taken
-//! mid-protocol, with NACK/retry traffic in flight on both sides of the
-//! checkpoint.
+//! invalidations, and (under a lossy interconnect) the retry, timeout and
+//! drop counters. The matrix must include pauses taken mid-protocol, with
+//! retry traffic in flight on both sides of the checkpoint.
 
 use std::process::Command;
 
@@ -35,16 +34,9 @@ fn apps() -> [(&'static str, AppBuilder); 5] {
     ]
 }
 
-/// A drop/dup/delay-heavy interconnect plus ECC noise: every scheme sees
-/// NACKed duplicates, timed-out retries, and line-recall scrubbing.
+/// A lossy interconnect: every scheme sees timed-out, retried requests.
 fn stormy_plan(seed: u64) -> FaultPlan {
-    let mut c = FaultConfig::none(seed);
-    c.drop_rate = 0.05;
-    c.dup_rate = 0.05;
-    c.delay_rate = 0.05;
-    c.ecc_single_rate = 0.05;
-    c.ecc_double_rate = 0.02;
-    FaultPlan::new(c)
+    FaultPlan::new(FaultConfig { seed, drop_rate: 0.1 })
 }
 
 /// Serializes a checkpoint to pretty JSON text and decodes it back, as a
@@ -68,7 +60,7 @@ fn retries_on_wire(wire: &Json) -> u64 {
 /// interconnect: pause at the midpoint, cross the JSON wire, resume, and
 /// land on the uninterrupted result bit-for-bit. The matrix must include
 /// pauses with retry traffic already suffered *and* still to come — the
-/// checkpoint splits an in-flight NACK/retry schedule, not just clean
+/// checkpoint splits an in-flight retry schedule, not just clean
 /// protocol quiescence.
 #[test]
 fn all_apps_schemes_resume_bit_identically() {

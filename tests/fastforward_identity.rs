@@ -9,15 +9,11 @@
 //! and an observed run must also record the same events, metrics, CPI
 //! stack and miss attribution either way.
 
-use imo_faults::FaultConfig;
-use imo_faults::FaultPlan;
 use imo_util::check::Checker;
 use imo_util::ensure_eq;
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
-use informing_memops::cpu::{
-    inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, RunResult, SimSession, TrapModel,
-};
+use informing_memops::cpu::{ooo, OooConfig, Outcome, RunLimits, RunResult, SimSession, TrapModel};
 use informing_memops::isa::Program;
 use informing_memops::mem::MshrMode;
 use informing_memops::obs::{CategoryMask, Recorder};
@@ -65,61 +61,13 @@ fn all_workloads_machines_schemes_are_tick_identical() {
     }
 }
 
-/// Handler-fault injection goes through the same timing loops; three seeded
-/// plans must also be tick-identical on both cores.
-#[test]
-fn seeded_faulty_runs_are_tick_identical() {
-    let p = (by_name("compress").expect("workload exists").build)(Scale::Test);
-    let scheme =
-        Scheme::Trap { handlers: HandlerKind::Single, body: HandlerBody::Generic { len: 10 } };
-    let inst = instrument(&p, &scheme).expect("instruments");
-    for seed in [1u64, 2, 3] {
-        let mut fc = FaultConfig::none(seed);
-        fc.handler_overrun_rate = 0.2;
-        fc.handler_overrun_cycles = 40;
-        fc.stale_mhar_rate = 0.1;
-        fc.stale_mhar_cycles = 25;
-        let plan = FaultPlan::new(fc);
-
-        let ev =
-            ooo::simulate_faulty(&inst.program, &OooConfig::paper(), RunLimits::default(), &plan)
-                .expect("faulty ooo run");
-        let tk = ooo::simulate_faulty(
-            &inst.program,
-            &OooConfig::paper(),
-            RunLimits::tick_accurate(),
-            &plan,
-        )
-        .expect("faulty ooo tick run");
-        assert_eq!(ev, tk, "ooo faulty seed {seed}");
-        assert!(ev.handler_faults > 0, "seed {seed} must actually inject faults");
-
-        let ev = inorder::simulate_faulty(
-            &inst.program,
-            &InOrderConfig::paper(),
-            RunLimits::default(),
-            &plan,
-        )
-        .expect("faulty inorder run");
-        let tk = inorder::simulate_faulty(
-            &inst.program,
-            &InOrderConfig::paper(),
-            RunLimits::tick_accurate(),
-            &plan,
-        )
-        .expect("faulty inorder tick run");
-        assert_eq!(ev, tk, "inorder faulty seed {seed}");
-    }
-}
-
 /// Block-batch property sweep: 32 seeded random configurations, each run in
-/// one of the four modes that interact with the block-batched fast paths —
+/// one of the three modes that interact with the block-batched fast paths —
 /// recorder on and attribution on (which ride through the batch path and
-/// must observe exactly what a tick-accurate observed run observes), a
-/// seeded fault plan (which rides through it), and a `stop_at` landing
-/// mid-run (which forces the split plain-run queue to rematerialize into a
-/// checkpoint and resume). Every mode must end bit-identical to the
-/// tick-accurate reference.
+/// must observe exactly what a tick-accurate observed run observes), and a
+/// `stop_at` landing mid-run (which forces the split plain-run queue to
+/// rematerialize into a checkpoint and resume). Every mode must end
+/// bit-identical to the tick-accurate reference.
 #[test]
 fn block_batch_modes_are_tick_identical() {
     let names: Vec<&'static str> = all().iter().map(|s| s.name).collect();
@@ -139,7 +87,7 @@ fn block_batch_modes_are_tick_identical() {
         let tick = machine
             .run_limited(&inst.program, RunLimits::tick_accurate())
             .map_err(|e| format!("{ctx} (tick): {e}"))?;
-        match *g.pick(&["recorder", "attrib", "faulty", "stop_at"]) {
+        match *g.pick(&["recorder", "attrib", "stop_at"]) {
             "recorder" => {
                 let ev = observed(&machine, &inst.program, RunLimits::default(), full_recorder)?;
                 ensure_eq!(ev.0, tick, "{ctx}: recorder on");
@@ -154,28 +102,6 @@ fn block_batch_modes_are_tick_identical() {
                 let tk =
                     observed(&machine, &inst.program, RunLimits::tick_accurate(), attrib_recorder)?;
                 same_observation(&ctx, &ev, &tk)?;
-            }
-            "faulty" => {
-                let mut fc = FaultConfig::none(g.int(1..u64::MAX));
-                fc.handler_overrun_rate = 0.2;
-                fc.handler_overrun_cycles = 40;
-                fc.stale_mhar_rate = 0.1;
-                fc.stale_mhar_cycles = 25;
-                let plan = FaultPlan::new(fc);
-                let ev = run_to_completion(
-                    SimSession::new(&inst.program, machine.core_config())
-                        .faults(plan)
-                        .run()
-                        .map_err(|e| format!("{ctx} (faulty): {e}"))?,
-                )?;
-                let tk = run_to_completion(
-                    SimSession::new(&inst.program, machine.core_config())
-                        .faults(plan)
-                        .limits(RunLimits::tick_accurate())
-                        .run()
-                        .map_err(|e| format!("{ctx} (faulty tick): {e}"))?,
-                )?;
-                ensure_eq!(ev, tk, "{ctx}: faulty plan");
             }
             mode => {
                 debug_assert_eq!(mode, "stop_at");

@@ -161,9 +161,7 @@ fn coherence_faulty_run_still_reconciles_and_records_fault_events() {
     let cfg = TraceConfig { procs: 4, ops_per_proc: 2_000, seed: 7 };
     let trace = migratory(&cfg);
     let params = MachineParams::table2();
-    let mut fc = FaultConfig::none(11);
-    fc.drop_rate = 0.05;
-    let plan = FaultPlan::new(fc);
+    let plan = FaultPlan::new(FaultConfig { seed: 11, drop_rate: 0.05 });
 
     let mut rec = Recorder::all();
     let (res, _) = coh_observed(&trace, Scheme::Informing, &params, &plan, &mut rec).unwrap();

@@ -232,3 +232,20 @@ fn deleted_entries_and_missing_directories_are_plain_misses() {
     assert_eq!(stats.rejected, 0, "a deleted entry is a miss, not corruption");
     assert_eq!(stats.misses, 2);
 }
+
+#[test]
+fn deeply_nested_entry_is_one_rejection_and_a_recompute() {
+    // Far deeper than any document the store writes: the parser must turn
+    // it into a verification failure, not overflow the reader's stack.
+    let dir = TempDir::new("deep");
+    let store = Store::open(&dir.0, StoreMode::ReadWrite, 6);
+    let payload = Json::obj([("v", snapshot::u64_json(3))]);
+    assert!(store.put("k", &payload));
+    let path = store.entry_path("k");
+    fs::write(&path, "[".repeat(100_000)).expect("overwrite entry");
+    assert_eq!(store.get("k"), None);
+    assert_eq!(store.stats().rejected, 1);
+    assert!(!path.exists(), "read-write store deletes the rejected entry");
+    assert!(store.put("k", &payload), "the recompute writes the entry again");
+    assert_eq!(store.get("k"), Some(payload));
+}
