@@ -5,7 +5,7 @@
 //! sweep on a dense informing workload.
 
 use imo_core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
-use imo_cpu::{ooo, OooConfig, RunLimits};
+use imo_cpu::{Machine, OooConfig};
 use imo_util::json::Json;
 use imo_workloads::{by_name, Scale};
 
@@ -36,7 +36,7 @@ pub fn compute() -> Output {
     let cycles = SweepSpec::new("ablation_checkpoints", BUDGETS.to_vec()).run(|_, c| {
         let mut cfg = OooConfig::paper();
         cfg.max_checkpoints = c;
-        let r = ooo::simulate(&inst.program, &cfg, RunLimits::default()).expect("runs");
+        let r = Machine::OutOfOrder(cfg).run(&inst.program).expect("runs");
         (c, r.cycles)
     });
     Output { cycles }

@@ -10,7 +10,7 @@ use imo_util::json::Json;
 use imo_util::Bench;
 
 use imo_core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
-use imo_cpu::{inorder, ooo, InOrderConfig, OooConfig, RunLimits};
+use imo_cpu::Machine;
 use imo_isa::exec::{Executor, NeverMiss};
 use imo_mem::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy};
 use imo_workloads::{by_name, Scale};
@@ -71,10 +71,10 @@ fn bench_models(b: &mut Bench) {
     let spec = by_name("doduc").expect("doduc exists");
     let program = (spec.build)(Scale::Test);
     b.bench_sampled("models/ooo_doduc_test", 5, || {
-        ooo::simulate(&program, &OooConfig::paper(), RunLimits::default()).expect("runs")
+        Machine::default_ooo().run(&program).expect("runs")
     });
     b.bench_sampled("models/inorder_doduc_test", 5, || {
-        inorder::simulate(&program, &InOrderConfig::paper(), RunLimits::default()).expect("runs")
+        Machine::default_in_order().run(&program).expect("runs")
     });
 }
 

@@ -17,10 +17,8 @@
 //! (prefetching is pure overhead). The adaptive program should track the
 //! better static version in each phase.
 
-use imo_cpu::{RunResult, SimError};
+use imo_cpu::{Machine, RunResult, SimError};
 use imo_isa::{Asm, Cond, MemKind, Program, Reg};
-
-use crate::machine::Machine;
 
 /// Which loop version(s) the generated program uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

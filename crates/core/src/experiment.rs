@@ -6,11 +6,10 @@
 //! normalized to N, broken into busy / cache-stall / other-stall graduation
 //! slots.
 
-use imo_cpu::{RunLimits, RunResult, SimError};
+use imo_cpu::{Machine, RunLimits, RunResult, SimError};
 use imo_isa::Program;
 
 use crate::instrument::{instrument, HandlerBody, HandlerKind, InstrumentError, Scheme};
-use crate::machine::Machine;
 
 /// One experimental configuration (a bar in Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,7 +14,8 @@
 //!   from the paper's generic data-dependent chains (§4.2) to miss counting,
 //!   per-reference counting, PC-hash profiling (§4.1.1) and next-line
 //!   prefetching (§4.1.2).
-//! * [`machine`] — a unified handle over the two processor models.
+//! * [`Machine`] — the two processor models, re-exported from `imo-cpu`,
+//!   whose `SimSession` is the one way to run them.
 //! * [`profile`] — the §4.1.1 performance-monitoring tool: exact
 //!   per-reference miss counts via informing operations.
 //! * [`prefetch`] — the §4.1.2 adaptive prefetching technique: prefetches
@@ -31,7 +32,7 @@
 //!
 //! ```
 //! use imo_core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
-//! use imo_core::machine::Machine;
+//! use imo_core::Machine;
 //! use imo_isa::{Asm, Reg};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -65,11 +66,10 @@
 pub mod adaptive;
 pub mod experiment;
 pub mod instrument;
-pub mod machine;
 pub mod multithread;
 pub mod prefetch;
 pub mod profile;
 
 pub use experiment::{ExperimentResult, NormalizedBar, Variant};
+pub use imo_cpu::Machine;
 pub use instrument::{instrument, HandlerBody, HandlerKind, Instrumented, RefSite, Scheme};
-pub use machine::Machine;

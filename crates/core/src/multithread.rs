@@ -34,11 +34,8 @@
 //! resident in the secondary cache, exposing the difference between the two
 //! policies.
 
-use imo_cpu::RunResult;
-use imo_cpu::SimError;
+use imo_cpu::{Machine, RunResult, SimError};
 use imo_isa::{Asm, Cond, Label, Program, Reg};
-
-use crate::machine::Machine;
 
 /// When the switch handler is invoked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

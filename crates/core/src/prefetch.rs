@@ -7,12 +7,11 @@
 //! next few lines — effective for the streaming access patterns where
 //! prefetching pays off.
 
-use imo_cpu::RunResult;
+use imo_cpu::{Machine, RunResult};
 use imo_isa::Program;
 
 use crate::experiment::ExperimentError;
 use crate::instrument::{instrument, HandlerBody, HandlerKind, Instrumented, Scheme};
-use crate::machine::Machine;
 
 /// Rewrites `program` so that every primary miss triggers a handler that
 /// prefetches the following `lines` cache lines.

@@ -8,12 +8,11 @@
 //!   hash-table handler keyed on the MHRR: **zero hit overhead**, with
 //!   possible bucket collisions.
 
-use imo_cpu::RunResult;
+use imo_cpu::{Machine, RunResult};
 use imo_isa::Program;
 
 use crate::experiment::ExperimentError;
 use crate::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
-use crate::machine::Machine;
 
 /// Default base address for profiler tables (above all workload data).
 pub const PROFILE_TABLE_BASE: u64 = 0x7000_0000;

@@ -169,7 +169,6 @@ pub struct FrontEnd<'p> {
     /// not a branch mispredict — drives CPI handler-cycle attribution.
     blocked_trap: bool,
     halted: bool,
-    next_seq: u64,
     /// Line currently in the fetch buffer (avoids re-probing the I-cache).
     cur_line: Option<u64>,
     last_mem_seq: Option<u64>,
@@ -199,7 +198,7 @@ pub struct FetchStats {
     /// Groups fully served from within a single cached basic block.
     pub block_groups: u64,
     /// Instructions streamed through the plain-run batch path
-    /// (`Executor::step_block`).
+    /// (`Executor::step_plain_run`).
     pub plain_instrs: u64,
     /// Total instructions fetched through the fast path.
     pub instrs: u64,
@@ -221,7 +220,6 @@ impl<'p> FrontEnd<'p> {
             blocked_on: None,
             blocked_trap: false,
             halted: false,
-            next_seq: 0,
             cur_line: None,
             last_mem_seq: None,
             mispredictions: 0,
@@ -246,9 +244,11 @@ impl<'p> FrontEnd<'p> {
         self.stats
     }
 
-    /// Sequence number the next fetched instruction will carry.
+    /// Sequence number the next fetched instruction will carry: every
+    /// executed instruction takes the next one, so it is the executor's
+    /// retired-instruction count.
     pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.exec.instret()
     }
 
     /// Whether `halt` has been fetched (the pipeline may still be draining).
@@ -331,7 +331,6 @@ impl<'p> FrontEnd<'p> {
             ("blocked_on", snapshot::opt_u64_json(self.blocked_on)),
             ("blocked_trap", Json::Bool(self.blocked_trap)),
             ("halted", Json::Bool(self.halted)),
-            ("next_seq", snapshot::u64_json(self.next_seq)),
             ("cur_line", snapshot::opt_u64_json(self.cur_line)),
             ("last_mem_seq", snapshot::opt_u64_json(self.last_mem_seq)),
             ("mispredictions", snapshot::u64_json(self.mispredictions)),
@@ -373,7 +372,6 @@ impl<'p> FrontEnd<'p> {
             blocked_on: snapshot::get_opt_u64(data, "blocked_on")?,
             blocked_trap: snapshot::get_bool(data, "blocked_trap")?,
             halted: snapshot::get_bool(data, "halted")?,
-            next_seq: snapshot::get_u64(data, "next_seq")?,
             cur_line: snapshot::get_opt_u64(data, "cur_line")?,
             last_mem_seq: snapshot::get_opt_u64(data, "last_mem_seq")?,
             mispredictions: snapshot::get_u64(data, "mispredictions")?,
@@ -483,6 +481,7 @@ impl<'p> FrontEnd<'p> {
                 let line = pc & !(self.line_bytes - 1);
                 let line_limit = ((line + self.line_bytes - pc) / 4) as u32;
                 let k = (width - fetched).min(line_limit).min(run_len);
+                let seq0 = self.next_seq();
                 // Plain instructions never consult the oracle, never touch
                 // control, and never miss — the batch runs to completion.
                 self.exec.step_plain_run(k)?;
@@ -493,8 +492,6 @@ impl<'p> FrontEnd<'p> {
                     written |= b;
                 }
                 self.reg_from_load &= !written;
-                let seq0 = self.next_seq;
-                self.next_seq += u64::from(k);
                 if O::ON {
                     for i in 0..u64::from(k) {
                         obs.record(cycle, EventKind::Fetch { seq: seq0 + i, pc: pc + 4 * i });
@@ -563,6 +560,7 @@ impl<'p> FrontEnd<'p> {
         hier: &mut MemoryHierarchy,
         obs: &mut O,
     ) -> Result<(Fetched, bool), ExecError> {
+        let seq = self.next_seq();
         let mut oracle = HierOracle { hier, last: None, last_addr: 0, last_prefetch: false };
         let info = self.exec.step(&mut oracle)?;
         let probe = oracle.last;
@@ -587,8 +585,6 @@ impl<'p> FrontEnd<'p> {
             }
         }
 
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let mut f = Fetched {
             seq,
             pc,

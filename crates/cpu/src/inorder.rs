@@ -97,70 +97,6 @@ fn window_segments(
     })
 }
 
-/// Simulates `program` to completion on the in-order model.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the program faults, exceeds `limits`, or the
-/// model detects a deadlock.
-///
-/// # Example
-///
-/// ```
-/// use imo_isa::{Asm, Reg};
-/// use imo_cpu::{inorder, InOrderConfig, RunLimits};
-///
-/// let mut a = Asm::new();
-/// a.li(Reg::int(1), 7);
-/// a.halt();
-/// let p = a.assemble().expect("assembles");
-/// let r = inorder::simulate(&p, &InOrderConfig::default(), RunLimits::default())
-///     .expect("simulates");
-/// assert_eq!(r.instructions, 2);
-/// ```
-pub fn simulate(
-    program: &Program,
-    cfg: &InOrderConfig,
-    limits: RunLimits,
-) -> Result<RunResult, SimError> {
-    simulate_full(program, cfg, limits).map(|(r, _)| r)
-}
-
-/// Like [`simulate`], but also returns the final architectural state
-/// (registers and data memory).
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_full(
-    program: &Program,
-    cfg: &InOrderConfig,
-    limits: RunLimits,
-) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, None, None)?.expect_done()
-}
-
-/// Like [`simulate_full`], but streams typed events into `rec` (gated by its
-/// category mask), accumulates the run's named counters and latency
-/// histograms into `rec.metrics`, and attributes every cycle into
-/// `rec.cpi` — whose total is guaranteed to equal `RunResult::cycles`
-/// exactly.
-///
-/// The recorder is strictly passive: the returned `RunResult` is
-/// bit-identical to [`simulate`]'s, whatever the mask.
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_observed(
-    program: &Program,
-    cfg: &InOrderConfig,
-    limits: RunLimits,
-    rec: &mut Recorder,
-) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, Some(rec), None)?.expect_done()
-}
-
 /// The fast path's split fetch queue: batch-fetched plain instructions stay
 /// as compact [`PlainRun`] descriptors while batch-breaking instructions
 /// (memory ops, control transfers, informing traps) are materialized in
@@ -242,7 +178,6 @@ fn encode_loop(
     resolve_q: &WakeupQueue<u64>,
     last_mem_outcome: u64,
     now: u64,
-    issued_total: u64,
     slots: SlotBreakdown,
     cpi: &CpiStack,
 ) -> Json {
@@ -269,7 +204,6 @@ fn encode_loop(
         ("resolve_q", ckpt::wakeup_json(resolve_q, |&s| s)),
         ("last_mem_outcome", snapshot::u64_json(last_mem_outcome)),
         ("now", snapshot::u64_json(now)),
-        ("issued_total", snapshot::u64_json(issued_total)),
         ("slots", ckpt::slots_json(slots)),
         ("cpi", ckpt::cpi_json(cpi)),
     ])
@@ -318,16 +252,20 @@ fn check_queue(
     }
 }
 
+/// Runs `program` from its entry, or from the checkpoint body `resume`,
+/// until it completes or reaches the first cycle boundary at or after
+/// `stop_at`.
 pub(crate) fn run(
     program: &Program,
     cfg: &InOrderConfig,
     limits: RunLimits,
+    stop_at: Option<u64>,
     obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     match obs {
-        Some(rec) => run_with(program, cfg, limits, rec, resume),
-        None => run_with(program, cfg, limits, &mut NoObs, resume),
+        Some(rec) => run_with(program, cfg, limits, stop_at, rec, resume),
+        None => run_with(program, cfg, limits, stop_at, &mut NoObs, resume),
     }
 }
 
@@ -336,6 +274,7 @@ fn run_with<O: Observer>(
     program: &Program,
     cfg: &InOrderConfig,
     limits: RunLimits,
+    stop_at: Option<u64>,
     obs: &mut O,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
@@ -374,7 +313,9 @@ fn run_with<O: Observer>(
         resolve_q = ckpt::decode_wakeup(snapshot::field(body, "resolve_q")?, "resolve_q", Ok)?;
         last_mem_outcome = snapshot::get_u64(body, "last_mem_outcome")?;
         now = snapshot::get_u64(body, "now")?;
-        issued_total = snapshot::get_u64(body, "issued_total")?;
+        // Every fetched instruction not in the queue has issued
+        // (`check_queue` bounds the queue by `next_seq`).
+        issued_total = fe.next_seq() - queue.len() as u64;
         slots = ckpt::decode_slots(snapshot::field(body, "slots")?)?;
         cpi = ckpt::decode_cpi(snapshot::field(body, "cpi")?)?;
     } else {
@@ -442,7 +383,7 @@ fn run_with<O: Observer>(
         // failed, and the cycle its sources become ready. Sequence numbers
         // never repeat, so a stale entry can never match a later head.
         let mut pending_issue: (u64, u64) = (u64::MAX, 0);
-        let stop_gate = limits.stop_at.unwrap_or(u64::MAX);
+        let stop_gate = stop_at.unwrap_or(u64::MAX);
         // Resolutions popped by the preamble count as progress for the
         // iteration that follows (carried across the preamble/body split).
         let mut resolved = false;
@@ -460,7 +401,6 @@ fn run_with<O: Observer>(
                         &resolve_q,
                         last_mem_outcome,
                         now,
-                        issued_total,
                         slots,
                         &cpi,
                     ),
@@ -855,7 +795,7 @@ fn run_with<O: Observer>(
     while !done {
         // Checkpoint boundary: pause before this cycle mutates anything, so
         // a resumed run re-enters the loop with bit-identical state.
-        if limits.stop_at.is_some_and(|stop| now >= stop) {
+        if stop_at.is_some_and(|stop| now >= stop) {
             return Ok(RunOutcome::Paused {
                 cycle: now,
                 body: encode_loop(
@@ -866,7 +806,6 @@ fn run_with<O: Observer>(
                     &resolve_q,
                     last_mem_outcome,
                     now,
-                    issued_total,
                     slots,
                     &cpi,
                 ),
@@ -1124,10 +1063,11 @@ fn run_with<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machine;
     use imo_isa::{Asm, Cond, Reg};
 
     fn run(p: &Program) -> RunResult {
-        simulate(p, &InOrderConfig::paper(), RunLimits::default()).expect("simulates")
+        Machine::default_in_order().run(p).expect("simulates")
     }
 
     fn r(i: u8) -> Reg {
@@ -1280,12 +1220,8 @@ mod tests {
         };
         let ino_n = run(&build(false));
         let ino_s = run(&build(true));
-        let ooo_n =
-            crate::ooo::simulate(&build(false), &crate::OooConfig::paper(), RunLimits::default())
-                .unwrap();
-        let ooo_s =
-            crate::ooo::simulate(&build(true), &crate::OooConfig::paper(), RunLimits::default())
-                .unwrap();
+        let ooo_n = Machine::default_ooo().run(&build(false)).unwrap();
+        let ooo_s = Machine::default_ooo().run(&build(true)).unwrap();
         let ino_overhead = ino_s.cycles as f64 / ino_n.cycles as f64;
         let ooo_overhead = ooo_s.cycles as f64 / ooo_n.cycles as f64;
         assert!(
@@ -1337,7 +1273,7 @@ mod tests {
         let p = a.assemble().unwrap();
         let mut cfg = InOrderConfig::paper();
         cfg.fp_units = 0;
-        let err = simulate(&p, &cfg, RunLimits::default()).unwrap_err();
+        let err = Machine::InOrder(cfg).run(&p).unwrap_err();
         assert!(matches!(err, SimError::Deadlock { .. }));
     }
 }

@@ -31,11 +31,17 @@
 //! reorder buffer); see [`TrapModel`]. The paper measured the exception
 //! treatment 7–9 % slower on `compress`.
 //!
+//! A [`Machine`] names one of the two models with its configuration, and a
+//! [`SimSession`] is the one way to run it: limits, a checkpoint boundary
+//! and an observability recorder are optional builder fields. The
+//! `Machine::run*` methods cover the common cases;
+//! [`ooo::simulate_traced`] adds per-instruction pipeline traces.
+//!
 //! ## Example
 //!
 //! ```
 //! use imo_isa::{Asm, Reg};
-//! use imo_cpu::{ooo, OooConfig, RunLimits};
+//! use imo_cpu::{Machine, OooConfig};
 //!
 //! let mut a = Asm::new();
 //! let r1 = Reg::int(1);
@@ -44,8 +50,7 @@
 //! a.halt();
 //! let p = a.assemble().expect("assembles");
 //!
-//! let result = ooo::simulate(&p, &OooConfig::default(), RunLimits::default())
-//!     .expect("simulation completes");
+//! let result = Machine::OutOfOrder(OooConfig::default()).run(&p).expect("simulation completes");
 //! assert!(result.cycles > 0);
 //! assert_eq!(result.mem.l1d_misses, 1); // the cold miss
 //! ```
@@ -58,6 +63,7 @@ mod ckpt;
 pub mod config;
 pub mod frontend;
 pub mod inorder;
+mod machine;
 pub mod ooo;
 pub mod predictor;
 pub mod result;
@@ -67,5 +73,6 @@ pub mod speed;
 pub mod trace;
 
 pub use config::{InOrderConfig, OooConfig, TrapModel};
+pub use machine::Machine;
 pub use result::{RunLimits, RunResult, SimError, SlotBreakdown};
-pub use session::{Checkpoint, CoreConfig, Outcome, SimSession};
+pub use session::{Checkpoint, Outcome, SimSession};

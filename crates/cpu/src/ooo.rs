@@ -171,15 +171,17 @@ fn decode_entry(
 /// The issue stage finds producers at `seq - rob_base` and wakeup words at
 /// `seq & 63`, so it relies on all of these: the ROB fits its configured
 /// size, its seqs run contiguously from `rob_base`, and every dependency
-/// names an older seq; the fetch queue continues from the ROB tail and
-/// holds less than `3 × issue_width` entries (fetch runs only below
-/// `2 × issue_width` and adds at most `issue_width`); and every rename-map
-/// entry names a dispatched instruction.
+/// names an older seq; the fetch queue continues from the ROB tail, ends at
+/// the front end's `next_seq`, and holds less than `3 × issue_width`
+/// entries (fetch runs only below `2 × issue_width` and adds at most
+/// `issue_width`); and every rename-map entry names a dispatched
+/// instruction.
 fn check_window(
     cfg: &OooConfig,
     rob: &VecDeque<Entry>,
     rob_base: u64,
     fetch_q: &VecDeque<Fetched>,
+    next_seq: u64,
     last_writer: &[Option<u64>; 64],
 ) -> Result<(), SnapshotError> {
     let rob_ok = rob.len() <= cfg.rob_entries as usize
@@ -192,6 +194,7 @@ fn check_window(
     }
     let tail = rob_base.saturating_add(rob.len() as u64);
     let fetch_q_ok = fetch_q.len() < 3 * cfg.issue_width as usize
+        && tail.checked_add(fetch_q.len() as u64) == Some(next_seq)
         && fetch_q.iter().enumerate().all(|(i, f)| {
             f.seq.checked_sub(tail) == Some(i as u64) && f.cc_dep.is_none_or(|c| c < f.seq)
         });
@@ -204,76 +207,25 @@ fn check_window(
     Ok(())
 }
 
-/// Simulates `program` to completion on the out-of-order model.
+/// Simulates `program` to completion on the out-of-order model, recording
+/// a per-instruction pipeline trace ([`InstrTrace`]) for every graduated
+/// instruction — see [`crate::trace`] for rendering and invariant checking.
+/// Untraced runs go through [`crate::SimSession`] or [`crate::Machine`].
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the program faults, exceeds `limits`, or the
-/// model detects a deadlock (which indicates a configuration with zero units
-/// or a model bug).
-///
-/// # Example
-///
-/// See the crate-level example.
-pub fn simulate(
-    program: &Program,
-    cfg: &OooConfig,
-    limits: RunLimits,
-) -> Result<RunResult, SimError> {
-    simulate_full(program, cfg, limits).map(|(r, _)| r)
-}
-
-/// Like [`simulate`], but also returns the final architectural state
-/// (registers and data memory) so that tools — e.g. miss-count profilers
-/// whose handlers accumulate into memory — can read their results.
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_full(
-    program: &Program,
-    cfg: &OooConfig,
-    limits: RunLimits,
-) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, None, None, None)?.expect_done()
-}
-
-/// Like [`simulate_full`], but streams typed events into `rec` (gated by its
-/// category mask), accumulates the run's named counters and latency
-/// histograms into `rec.metrics`, and attributes every cycle into
-/// `rec.cpi` — whose total is guaranteed to equal `RunResult::cycles`
-/// exactly.
-///
-/// The recorder is strictly passive: the returned `RunResult` is
-/// bit-identical to [`simulate`]'s, whatever the mask.
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_observed(
-    program: &Program,
-    cfg: &OooConfig,
-    limits: RunLimits,
-    rec: &mut Recorder,
-) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-    run(program, cfg, limits, None, Some(rec), None)?.expect_done()
-}
-
-/// Like [`simulate`], but records a per-instruction pipeline trace
-/// ([`InstrTrace`]) for every graduated instruction — see
-/// [`crate::trace`] for rendering and invariant checking.
-///
-/// # Errors
-///
-/// As for [`simulate`].
+/// model detects a deadlock.
 pub fn simulate_traced(
     program: &Program,
     cfg: &OooConfig,
     limits: RunLimits,
 ) -> Result<(RunResult, Vec<InstrTrace>), SimError> {
     let mut traces = Vec::new();
-    let (result, _) = run(program, cfg, limits, Some(&mut traces), None, None)?.expect_done()?;
-    Ok((result, traces))
+    match run(program, cfg, limits, None, Some(&mut traces), None, None)? {
+        RunOutcome::Done(result, _) => Ok((result, traces)),
+        RunOutcome::Paused { .. } => unreachable!("a run without a stop boundary never pauses"),
+    }
 }
 
 /// Encodes every `run`-loop local at a cycle boundary (the checkpoint body).
@@ -292,7 +244,6 @@ fn encode_loop(
     checkpoints_in_use: u32,
     wb_release: &ReleasePool,
     now: u64,
-    graduated_total: u64,
     slots: SlotBreakdown,
     cpi: &CpiStack,
     ckpt_flags: u8,
@@ -311,23 +262,26 @@ fn encode_loop(
         ("checkpoints_in_use", snapshot::u64_json(u64::from(checkpoints_in_use))),
         ("wb_release", snapshot::u64s_json(&wb_release.releases())),
         ("now", snapshot::u64_json(now)),
-        ("graduated_total", snapshot::u64_json(graduated_total)),
         ("slots", ckpt::slots_json(slots)),
         ("cpi", ckpt::cpi_json(cpi)),
     ])
 }
 
+/// Runs `program` from its entry, or from the checkpoint body `resume`,
+/// until it completes or reaches the first cycle boundary at or after
+/// `stop_at`.
 pub(crate) fn run(
     program: &Program,
     cfg: &OooConfig,
     limits: RunLimits,
+    stop_at: Option<u64>,
     trace: Option<&mut Vec<InstrTrace>>,
     obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     match obs {
-        Some(rec) => run_with(program, cfg, limits, trace, rec, resume),
-        None => run_with(program, cfg, limits, trace, &mut NoObs, resume),
+        Some(rec) => run_with(program, cfg, limits, stop_at, trace, rec, resume),
+        None => run_with(program, cfg, limits, stop_at, trace, &mut NoObs, resume),
     }
 }
 
@@ -336,6 +290,7 @@ fn run_with<O: Observer>(
     program: &Program,
     cfg: &OooConfig,
     limits: RunLimits,
+    stop_at: Option<u64>,
     mut trace: Option<&mut Vec<InstrTrace>>,
     obs: &mut O,
     resume: Option<&Json>,
@@ -399,7 +354,7 @@ fn run_with<O: Observer>(
         for (slot, w) in last_writer.iter_mut().zip(lw) {
             *slot = w;
         }
-        check_window(cfg, &rob, rob_base, &fetch_q, &last_writer)?;
+        check_window(cfg, &rob, rob_base, &fetch_q, fe.next_seq(), &last_writer)?;
         resolve_q = ckpt::decode_wakeup(snapshot::field(body, "resolve_q")?, "resolve_q", Ok)?;
         ckpt_release_q = ckpt::decode_wakeup(
             snapshot::field(body, "ckpt_release_q")?,
@@ -420,7 +375,9 @@ fn run_with<O: Observer>(
         }
         wb_release = ReleasePool::restore(releases);
         now = snapshot::get_u64(body, "now")?;
-        graduated_total = snapshot::get_u64(body, "graduated_total")?;
+        // Instructions graduate in sequence order, so the ROB head's seq
+        // counts them.
+        graduated_total = rob_base;
         slots = ckpt::decode_slots(snapshot::field(body, "slots")?)?;
         cpi = ckpt::decode_cpi(snapshot::field(body, "cpi")?)?;
     } else {
@@ -576,7 +533,7 @@ fn run_with<O: Observer>(
     while !done {
         // Checkpoint boundary: pause before this cycle mutates anything, so
         // a resumed run re-enters the loop with bit-identical state.
-        if limits.stop_at.is_some_and(|stop| now >= stop) {
+        if stop_at.is_some_and(|stop| now >= stop) {
             crate::speed::flush(fe.stats());
             return Ok(RunOutcome::Paused {
                 cycle: now,
@@ -594,7 +551,6 @@ fn run_with<O: Observer>(
                     checkpoints_in_use,
                     &wb_release,
                     now,
-                    graduated_total,
                     slots,
                     &cpi,
                     ckpt_flags,
@@ -1081,10 +1037,11 @@ fn run_with<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machine;
     use imo_isa::{Asm, Cond, Reg};
 
     fn run(p: &Program) -> RunResult {
-        simulate(p, &OooConfig::paper(), RunLimits::default()).expect("simulates")
+        Machine::default_ooo().run(p).expect("simulates")
     }
 
     fn r(i: u8) -> Reg {
@@ -1221,9 +1178,9 @@ mod tests {
 
         let mut cfg = OooConfig::paper();
         cfg.trap_model = TrapModel::Branch;
-        let branch = simulate(&p, &cfg, RunLimits::default()).unwrap();
+        let branch = Machine::OutOfOrder(cfg).run(&p).unwrap();
         cfg.trap_model = TrapModel::Exception;
-        let exception = simulate(&p, &cfg, RunLimits::default()).unwrap();
+        let exception = Machine::OutOfOrder(cfg).run(&p).unwrap();
 
         assert_eq!(branch.informing_traps, 200);
         assert_eq!(exception.informing_traps, 200);
@@ -1256,9 +1213,9 @@ mod tests {
 
         let mut cfg = OooConfig::paper();
         cfg.max_checkpoints = 1;
-        let tight = simulate(&p, &cfg, RunLimits::default()).unwrap();
+        let tight = Machine::OutOfOrder(cfg).run(&p).unwrap();
         cfg.max_checkpoints = 8;
-        let loose = simulate(&p, &cfg, RunLimits::default()).unwrap();
+        let loose = Machine::OutOfOrder(cfg).run(&p).unwrap();
         assert!(
             tight.cycles > loose.cycles,
             "1 checkpoint ({}) should be slower than 8 ({})",
@@ -1325,7 +1282,7 @@ mod tests {
         let p = a.assemble().unwrap();
         let mut cfg = OooConfig::paper();
         cfg.fp_units = 0;
-        let err = simulate(&p, &cfg, RunLimits::default()).unwrap_err();
+        let err = Machine::OutOfOrder(cfg).run(&p).unwrap_err();
         assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
     }
 
@@ -1336,12 +1293,12 @@ mod tests {
         a.addi(r(1), r(1), 1);
         a.jump(top);
         let p = a.assemble().unwrap();
-        let err = simulate(
-            &p,
-            &OooConfig::paper(),
-            RunLimits { max_instructions: u64::MAX, max_cycles: 1000, ..RunLimits::default() },
-        )
-        .unwrap_err();
+        let err = Machine::default_ooo()
+            .run_limited(
+                &p,
+                RunLimits { max_instructions: u64::MAX, max_cycles: 1000, ..RunLimits::default() },
+            )
+            .unwrap_err();
         assert!(matches!(err, SimError::CycleLimit(1000)));
     }
 }

@@ -108,11 +108,6 @@ pub struct RunLimits {
     /// windows instead of jumping to the next pending event. Slow; exists as
     /// the bit-identity reference for `tests/fastforward_identity.rs`.
     pub force_tick_accurate: bool,
-    /// Pause the run at the first cycle boundary at or after this cycle and
-    /// emit a checkpoint instead of a result. Only the [`crate::SimSession`]
-    /// API can surface the checkpoint; the plain `simulate*` entry points
-    /// report [`SimError::Paused`] when the boundary is reached.
-    pub stop_at: Option<u64>,
 }
 
 impl RunLimits {
@@ -120,13 +115,6 @@ impl RunLimits {
     #[must_use]
     pub fn tick_accurate() -> RunLimits {
         RunLimits { force_tick_accurate: true, ..RunLimits::default() }
-    }
-
-    /// Default limits that pause at the first cycle boundary at or after
-    /// `cycle`, for checkpoint/resume through [`crate::SimSession`].
-    #[must_use]
-    pub fn stop_at(cycle: u64) -> RunLimits {
-        RunLimits { stop_at: Some(cycle), ..RunLimits::default() }
     }
 }
 
@@ -136,13 +124,13 @@ impl Default for RunLimits {
             max_instructions: 50_000_000,
             max_cycles: 500_000_000,
             force_tick_accurate: false,
-            stop_at: None,
         }
     }
 }
 
 /// Internal outcome of a core `run` loop: either the program completed, or
-/// the loop hit [`RunLimits::stop_at`] and encoded its state for resumption.
+/// the loop reached [`crate::SimSession::stop_at`] and encoded its state for
+/// resumption.
 // One value exists per completed run; the variant size gap is irrelevant.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum RunOutcome {
@@ -155,18 +143,6 @@ pub(crate) enum RunOutcome {
         /// The core's encoded loop state (wrapped by `SimSession`).
         body: imo_util::json::Json,
     },
-}
-
-impl RunOutcome {
-    /// Unwraps a completed run, mapping a pause — which only the
-    /// checkpoint-aware `SimSession` caller can handle — to
-    /// [`SimError::Paused`].
-    pub(crate) fn expect_done(self) -> Result<(RunResult, imo_isa::exec::ArchState), SimError> {
-        match self {
-            RunOutcome::Done(r, s) => Ok((r, s)),
-            RunOutcome::Paused { cycle, .. } => Err(SimError::Paused { cycle }),
-        }
-    }
 }
 
 /// Errors from the cycle-level simulators.
@@ -184,12 +160,6 @@ pub enum SimError {
         /// Cycle at which progress stopped.
         cycle: u64,
     },
-    /// The run reached [`RunLimits::stop_at`] through an entry point that
-    /// cannot return a checkpoint — use [`crate::SimSession`] to pause.
-    Paused {
-        /// Cycle boundary at which the run paused.
-        cycle: u64,
-    },
     /// A checkpoint could not be decoded or does not match this session's
     /// program/configuration.
     Checkpoint(imo_util::snapshot::SnapshotError),
@@ -202,9 +172,6 @@ impl fmt::Display for SimError {
             SimError::InstructionLimit(n) => write!(f, "instruction limit {n} reached"),
             SimError::CycleLimit(n) => write!(f, "cycle limit {n} reached"),
             SimError::Deadlock { cycle } => write!(f, "no forward progress at cycle {cycle}"),
-            SimError::Paused { cycle } => {
-                write!(f, "run paused at cycle {cycle}; use SimSession to capture the checkpoint")
-            }
             SimError::Checkpoint(e) => write!(f, "checkpoint rejected: {e}"),
         }
     }

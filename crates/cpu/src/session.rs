@@ -1,12 +1,12 @@
-//! One builder-style entry point over both core models, with checkpoint
-//! pause/resume.
+//! The one entry point into both core models, with checkpoint pause/resume.
 //!
-//! [`SimSession`] subsumes the `simulate` / `simulate_observed` twin entry
-//! points of [`crate::inorder`] and [`crate::ooo`]: the recorder is an
-//! optional builder field, and both cores run — and resume — through a
-//! single path.
+//! Every run of [`crate::inorder`] or [`crate::ooo`] goes through a
+//! [`SimSession`] (the [`Machine`] `run*` methods build one), except
+//! [`crate::ooo::simulate_traced`]'s pipeline traces: the limits, the stop
+//! boundary and the recorder are optional builder fields, and both cores
+//! run — and resume — through a single path.
 //!
-//! A session whose [`RunLimits::stop_at`] boundary is reached returns
+//! A session whose [`SimSession::stop_at`] boundary is reached returns
 //! [`Outcome::Paused`] with a [`Checkpoint`]: a versioned wire object (see
 //! [`Snapshot`]) carrying the core's entire loop state at that cycle
 //! boundary. Resuming the checkpoint — in the same process or from JSON in a
@@ -15,7 +15,7 @@
 //! and resumption re-enters the scheduling loop with the same locals.
 //!
 //! ```
-//! use imo_cpu::{CoreConfig, Outcome, OooConfig, RunLimits, SimSession};
+//! use imo_cpu::{Machine, Outcome, OooConfig, SimSession};
 //! use imo_isa::{Asm, Reg};
 //!
 //! let mut a = Asm::new();
@@ -24,15 +24,11 @@
 //! a.halt();
 //! let p = a.assemble().expect("assembles");
 //!
-//! let core = CoreConfig::Ooo(OooConfig::default());
-//! let paused = SimSession::new(&p, core)
-//!     .limits(RunLimits::stop_at(10))
-//!     .run()
-//!     .expect("runs");
+//! let machine = Machine::OutOfOrder(OooConfig::default());
+//! let paused = SimSession::new(&p, machine).stop_at(10).run().expect("runs");
 //! let Outcome::Paused(ckpt) = paused else { panic!("stops at cycle 10") };
 //!
-//! let core = CoreConfig::Ooo(OooConfig::default());
-//! let resumed = SimSession::new(&p, core).resume(&ckpt).expect("resumes");
+//! let resumed = SimSession::new(&p, machine).resume(&ckpt).expect("resumes");
 //! let Outcome::Complete { result, .. } = resumed else { panic!("completes") };
 //! assert!(result.cycles > 10);
 //! ```
@@ -44,29 +40,8 @@ use imo_util::json::Json;
 use imo_util::rng::mix64;
 use imo_util::snapshot::{self, Snapshot, SnapshotError};
 
-use crate::config::{InOrderConfig, OooConfig};
 use crate::result::{RunLimits, RunOutcome, RunResult, SimError};
-use crate::{inorder, ooo};
-
-/// Which core model a [`SimSession`] drives.
-#[derive(Debug, Clone, Copy)]
-pub enum CoreConfig {
-    /// The in-order-issue (Alpha-21164-like) model.
-    InOrder(InOrderConfig),
-    /// The out-of-order-issue (MIPS-R10000-like) model.
-    Ooo(OooConfig),
-}
-
-impl CoreConfig {
-    /// Stable core tag recorded in checkpoints (matches
-    /// `imo_bench::Machine::name`).
-    fn tag(&self) -> &'static str {
-        match self {
-            CoreConfig::InOrder(_) => "in-order",
-            CoreConfig::Ooo(_) => "ooo",
-        }
-    }
-}
+use crate::{inorder, ooo, Machine};
 
 /// A paused simulation: the core's entire loop state at a cycle boundary.
 ///
@@ -75,7 +50,12 @@ impl CoreConfig {
 /// can cross a process boundary (`to_wire` → text → `from_wire`) and still
 /// resume bit-identically. The embedded configuration hash lets
 /// [`SimSession::resume`] reject a checkpoint taken under a different
-/// program or core configuration.
+/// program or machine.
+///
+/// The wire carries no value the rest of the state determines: the pause
+/// cycle is the body's `now`, and the cores rebuild their sequence and
+/// retirement counters from the architectural instruction count and the
+/// instruction window.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     core: String,
@@ -94,23 +74,23 @@ impl Checkpoint {
 
 impl Snapshot for Checkpoint {
     const KIND: &'static str = "cpu.checkpoint";
-    const VERSION: u32 = 2;
+    const VERSION: u32 = 3;
 
     fn encode(&self) -> Json {
         Json::obj([
             ("core", Json::from(self.core.as_str())),
-            ("cycle", snapshot::u64_json(self.cycle)),
             ("cfg_hash", snapshot::u64_json(self.cfg_hash)),
             ("body", self.body.clone()),
         ])
     }
 
     fn decode(data: &Json) -> Result<Self, SnapshotError> {
+        let body = snapshot::field(data, "body")?;
         Ok(Checkpoint {
             core: snapshot::get_str(data, "core")?.to_string(),
-            cycle: snapshot::get_u64(data, "cycle")?,
+            cycle: snapshot::get_u64(body, "now")?,
             cfg_hash: snapshot::get_u64(data, "cfg_hash")?,
-            body: snapshot::field(data, "body")?.clone(),
+            body: body.clone(),
         })
     }
 }
@@ -127,35 +107,46 @@ pub enum Outcome {
         /// Final architectural state (registers and data memory).
         state: ArchState,
     },
-    /// The run hit [`RunLimits::stop_at`] and checkpointed.
+    /// The run reached [`SimSession::stop_at`] and checkpointed.
     Paused(Checkpoint),
 }
 
-/// A configured simulation run over either core model.
+/// A configured simulation run on either machine.
 ///
 /// Consuming builder: construct with [`SimSession::new`], optionally attach
-/// [`SimSession::limits`] and [`SimSession::recorder`], then
-/// [`SimSession::run`] or [`SimSession::resume`].
+/// [`SimSession::limits`], [`SimSession::stop_at`] and
+/// [`SimSession::recorder`], then [`SimSession::run`] or
+/// [`SimSession::resume`].
 pub struct SimSession<'p, 'r> {
     program: &'p Program,
-    core: CoreConfig,
+    machine: Machine,
     limits: RunLimits,
+    stop_at: Option<u64>,
     recorder: Option<&'r mut Recorder>,
 }
 
 impl<'p, 'r> SimSession<'p, 'r> {
-    /// A session over `program` on the given core, with default limits and
-    /// no recorder.
+    /// A session over `program` on `machine`, with default limits, no stop
+    /// boundary and no recorder.
     #[must_use]
-    pub fn new(program: &'p Program, core: CoreConfig) -> SimSession<'p, 'r> {
-        SimSession { program, core, limits: RunLimits::default(), recorder: None }
+    pub fn new(program: &'p Program, machine: Machine) -> SimSession<'p, 'r> {
+        SimSession { program, machine, limits: RunLimits::default(), stop_at: None, recorder: None }
     }
 
-    /// Sets the run limits (including the [`RunLimits::stop_at`] checkpoint
-    /// boundary).
+    /// Sets the run limits.
     #[must_use]
     pub fn limits(mut self, limits: RunLimits) -> Self {
         self.limits = limits;
+        self
+    }
+
+    /// Pauses the run at the first cycle boundary at or after `cycle` and
+    /// returns [`Outcome::Paused`] with a checkpoint instead of a result.
+    /// Fast-forwarding may jump past `cycle`, so the checkpoint's
+    /// [`Checkpoint::cycle`] can lie beyond it.
+    #[must_use]
+    pub fn stop_at(mut self, cycle: u64) -> Self {
+        self.stop_at = Some(cycle);
         self
     }
 
@@ -166,15 +157,6 @@ impl<'p, 'r> SimSession<'p, 'r> {
     pub fn recorder(mut self, rec: &'r mut Recorder) -> Self {
         self.recorder = Some(rec);
         self
-    }
-
-    /// Hash binding a checkpoint to this exact (program, core
-    /// configuration) pair. `Debug`-based, like the sweep memo keys: two
-    /// sessions hash equal iff their configurations render identically.
-    fn cfg_hash(&self) -> u64 {
-        let core = imo_util::debug_hash(&self.core);
-        let prog = imo_util::debug_hash(self.program);
-        mix64(core, prog)
     }
 
     /// Runs the session from the program's entry.
@@ -188,7 +170,7 @@ impl<'p, 'r> SimSession<'p, 'r> {
     }
 
     /// Resumes the session from a checkpoint taken by an earlier run with
-    /// the same program and core configuration.
+    /// the same program and machine.
     ///
     /// # Errors
     ///
@@ -196,37 +178,59 @@ impl<'p, 'r> SimSession<'p, 'r> {
     /// different core or under a different configuration, or if its body
     /// fails to decode; otherwise as for [`SimSession::run`].
     pub fn resume(self, ckpt: &Checkpoint) -> Result<Outcome, SimError> {
-        if ckpt.core != self.core.tag() {
+        if ckpt.core != self.machine.name() {
             return Err(SimError::Checkpoint(SnapshotError::Kind {
-                expected: self.core.tag(),
+                expected: self.machine.name(),
                 found: ckpt.core.clone(),
             }));
         }
-        if ckpt.cfg_hash != self.cfg_hash() {
+        if ckpt.cfg_hash != cfg_hash(self.program, &self.machine) {
             return Err(SimError::Checkpoint(SnapshotError::Bad("cfg_hash")));
         }
         self.go(Some(&ckpt.body))
     }
 
+    /// Runs a session that has no stop boundary, and so cannot pause, to
+    /// completion.
+    pub(crate) fn complete(self) -> Result<(RunResult, ArchState), SimError> {
+        match self.go(None)? {
+            Outcome::Complete { result, state } => Ok((result, state)),
+            Outcome::Paused(_) => unreachable!("a run without a stop boundary never pauses"),
+        }
+    }
+
     fn go(self, resume: Option<&Json>) -> Result<Outcome, SimError> {
-        let cfg_hash = self.cfg_hash();
-        let SimSession { program, core, limits, recorder } = self;
-        let outcome = match &core {
-            CoreConfig::InOrder(cfg) => inorder::run(program, cfg, limits, recorder, resume)?,
-            CoreConfig::Ooo(cfg) => ooo::run(program, cfg, limits, None, recorder, resume)?,
+        let SimSession { program, machine, limits, stop_at, recorder } = self;
+        let outcome = match &machine {
+            Machine::InOrder(cfg) => inorder::run(program, cfg, limits, stop_at, recorder, resume)?,
+            Machine::OutOfOrder(cfg) => {
+                ooo::run(program, cfg, limits, stop_at, None, recorder, resume)?
+            }
         };
         Ok(match outcome {
             RunOutcome::Done(result, state) => Outcome::Complete { result, state },
-            RunOutcome::Paused { cycle, body } => {
-                Outcome::Paused(Checkpoint { core: core.tag().to_string(), cycle, cfg_hash, body })
-            }
+            RunOutcome::Paused { cycle, body } => Outcome::Paused(Checkpoint {
+                core: machine.name().to_string(),
+                cycle,
+                cfg_hash: cfg_hash(program, &machine),
+                body,
+            }),
         })
     }
+}
+
+/// Hash binding a checkpoint to this exact (program, machine) pair.
+/// `Debug`-based, like the sweep memo keys: two sessions hash equal iff
+/// their configurations render identically. Computed only when a run
+/// pauses or resumes.
+fn cfg_hash(program: &Program, machine: &Machine) -> u64 {
+    mix64(imo_util::debug_hash(machine), imo_util::debug_hash(program))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OooConfig;
     use imo_isa::{Asm, Cond, Reg};
 
     fn kernel() -> Program {
@@ -257,33 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_plain_simulate_on_both_cores() {
-        let p = kernel();
-        let ino = complete(
-            SimSession::new(&p, CoreConfig::InOrder(InOrderConfig::paper())).run().unwrap(),
-        );
-        assert_eq!(
-            ino,
-            crate::inorder::simulate(&p, &InOrderConfig::paper(), RunLimits::default()).unwrap()
-        );
-        let ooo = complete(SimSession::new(&p, CoreConfig::Ooo(OooConfig::paper())).run().unwrap());
-        assert_eq!(
-            ooo,
-            crate::ooo::simulate(&p, &OooConfig::paper(), RunLimits::default()).unwrap()
-        );
-    }
-
-    #[test]
     fn pause_resume_is_bit_identical() {
         let p = kernel();
+        let machine = Machine::default_ooo();
+        let baseline = machine.run(&p).unwrap();
         for stop in [1, 17, 100, 300] {
-            let core = CoreConfig::Ooo(OooConfig::paper());
-            let baseline =
-                crate::ooo::simulate(&p, &OooConfig::paper(), RunLimits::default()).unwrap();
-            match SimSession::new(&p, core).limits(RunLimits::stop_at(stop)).run().unwrap() {
+            match SimSession::new(&p, machine).stop_at(stop).run().unwrap() {
                 Outcome::Paused(ckpt) => {
                     assert!(ckpt.cycle() >= stop);
-                    let resumed = complete(SimSession::new(&p, core).resume(&ckpt).unwrap());
+                    let resumed = complete(SimSession::new(&p, machine).resume(&ckpt).unwrap());
                     assert_eq!(resumed, baseline, "stop_at {stop}");
                 }
                 Outcome::Complete { result, .. } => {
@@ -296,51 +282,35 @@ mod tests {
     }
 
     #[test]
-    fn plain_entry_points_report_paused() {
-        let p = kernel();
-        let err = crate::ooo::simulate(&p, &OooConfig::paper(), RunLimits::stop_at(5)).unwrap_err();
-        // Fast-forwarding may jump past the requested boundary; the pause
-        // lands at the first loop iteration at or after it.
-        assert!(matches!(err, SimError::Paused { cycle } if cycle >= 5), "{err}");
-    }
-
-    #[test]
     fn resume_rejects_core_and_config_mismatches() {
         let p = kernel();
-        let Outcome::Paused(ckpt) = SimSession::new(&p, CoreConfig::Ooo(OooConfig::paper()))
-            .limits(RunLimits::stop_at(10))
-            .run()
-            .unwrap()
+        let Outcome::Paused(ckpt) =
+            SimSession::new(&p, Machine::default_ooo()).stop_at(10).run().unwrap()
         else {
             panic!("pauses")
         };
         // Wrong core.
-        let err = SimSession::new(&p, CoreConfig::InOrder(InOrderConfig::paper()))
-            .resume(&ckpt)
-            .unwrap_err();
+        let err = SimSession::new(&p, Machine::default_in_order()).resume(&ckpt).unwrap_err();
         assert!(matches!(err, SimError::Checkpoint(SnapshotError::Kind { .. })), "{err}");
         // Wrong configuration.
         let mut cfg = OooConfig::paper();
         cfg.rob_entries += 1;
-        let err = SimSession::new(&p, CoreConfig::Ooo(cfg)).resume(&ckpt).unwrap_err();
+        let err = SimSession::new(&p, Machine::OutOfOrder(cfg)).resume(&ckpt).unwrap_err();
         assert!(matches!(err, SimError::Checkpoint(SnapshotError::Bad("cfg_hash"))), "{err}");
     }
 
     #[test]
     fn checkpoint_wire_round_trip_resumes() {
         let p = kernel();
-        let core = CoreConfig::InOrder(InOrderConfig::paper());
-        let baseline =
-            crate::inorder::simulate(&p, &InOrderConfig::paper(), RunLimits::default()).unwrap();
-        let Outcome::Paused(ckpt) =
-            SimSession::new(&p, core).limits(RunLimits::stop_at(40)).run().unwrap()
-        else {
+        let machine = Machine::default_in_order();
+        let baseline = machine.run(&p).unwrap();
+        let Outcome::Paused(ckpt) = SimSession::new(&p, machine).stop_at(40).run().unwrap() else {
             panic!("pauses")
         };
         let text = ckpt.to_wire().pretty();
         let back = Checkpoint::from_wire(&imo_util::json::parse(&text).unwrap()).expect("decodes");
         assert_eq!(back.to_wire().pretty(), text, "re-encode is byte-stable");
-        let resumed = complete(SimSession::new(&p, core).resume(&back).unwrap());
+        let resumed = complete(SimSession::new(&p, machine).resume(&back).unwrap());
         assert_eq!(resumed, baseline);
     }
 }

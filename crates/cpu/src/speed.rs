@@ -28,7 +28,7 @@ pub struct SpeedStats {
     pub groups: u64,
     /// Fetch groups served entirely from a single basic block.
     pub block_groups: u64,
-    /// Instructions retired through batched `step_block` runs.
+    /// Instructions retired through batched `step_plain_run` runs.
     pub plain_instrs: u64,
     /// Instructions fetched by fast-path front ends in total.
     pub instrs: u64,
@@ -57,7 +57,7 @@ impl SpeedStats {
     }
 
     /// Percentage of fetched instructions that went through a batched
-    /// `step_block` run (0.0 when nothing has been fetched).
+    /// `step_plain_run` run (0.0 when nothing has been fetched).
     pub fn batched_instr_pct(&self) -> f64 {
         if self.instrs == 0 {
             0.0

@@ -7,7 +7,7 @@
 use imo_util::check::{Checker, Gen};
 use imo_util::{ensure, ensure_eq};
 
-use imo_cpu::{inorder, ooo, InOrderConfig, OooConfig, RunLimits};
+use imo_cpu::{InOrderConfig, Machine, OooConfig, Outcome, RunLimits, RunResult, SimSession};
 use imo_isa::exec::{ArchState, Executor, MissDepth, MissOracle};
 use imo_isa::{Asm, Cond, Instr, MemKind, Program, Reg};
 use imo_mem::{HierarchyConfig, HitLevel, MemoryHierarchy};
@@ -212,14 +212,25 @@ fn models_are_functionally_transparent() {
         let ooo_ref = reference(&p, OooConfig::paper().hier);
         let inorder_ref = reference(&p, InOrderConfig::paper().hier);
         for (mode, limits) in [("fast", fast), ("tick", tick)] {
-            let (r, s) = ooo::simulate_full(&p, &OooConfig::paper(), limits).expect("ooo runs");
+            let (r, s) = run_full(&p, Machine::default_ooo(), limits);
             same_state(&format!("ooo {mode}"), &s, r.instructions, &ooo_ref)?;
-            let (r, s) =
-                inorder::simulate_full(&p, &InOrderConfig::paper(), limits).expect("inorder runs");
+            let (r, s) = run_full(&p, Machine::default_in_order(), limits);
             same_state(&format!("inorder {mode}"), &s, r.instructions, &inorder_ref)?;
         }
         Ok(())
     });
+}
+
+/// Runs `p` on `machine` under `limits` to completion, with its final
+/// architectural state.
+fn run_full(p: &Program, machine: Machine, limits: RunLimits) -> (RunResult, ArchState) {
+    match SimSession::new(p, machine).limits(limits).run() {
+        Ok(Outcome::Complete { result, state }) => (result, state),
+        Ok(Outcome::Paused(c)) => {
+            panic!("{}: paused at {} without a stop boundary", machine.name(), c.cycle())
+        }
+        Err(e) => panic!("{} runs: {e}", machine.name()),
+    }
 }
 
 /// Timing sanity: slot accounting is exhaustive, cycles bound the
@@ -229,15 +240,14 @@ fn models_are_functionally_transparent() {
 fn timing_invariants() {
     Checker::new("timing_invariants").cases(64).run(|g| {
         let p = arb_program(g);
-        let limits = RunLimits::default();
-        let a = ooo::simulate(&p, &OooConfig::paper(), limits).expect("runs");
-        let b = ooo::simulate(&p, &OooConfig::paper(), limits).expect("runs");
+        let a = Machine::default_ooo().run(&p).expect("runs");
+        let b = Machine::default_ooo().run(&p).expect("runs");
         ensure_eq!(a, b, "determinism");
         ensure_eq!(a.slots.total(), a.cycles * 4);
         ensure!(a.cycles * 4 >= a.instructions, "cannot graduate more than 4/cycle");
         ensure!(a.cycles >= 1);
 
-        let i = inorder::simulate(&p, &InOrderConfig::paper(), limits).expect("runs");
+        let i = Machine::default_in_order().run(&p).expect("runs");
         ensure_eq!(i.slots.total(), i.cycles * 4);
         ensure!(i.cycles * 4 >= i.instructions);
         Ok(())
@@ -251,8 +261,7 @@ fn timing_invariants() {
 fn probe_outcomes_are_timing_independent() {
     Checker::new("probe_outcomes_are_timing_independent").cases(64).run(|g| {
         let p = arb_program(g);
-        let limits = RunLimits::default();
-        let r = ooo::simulate(&p, &OooConfig::paper(), limits).expect("runs");
+        let r = Machine::default_ooo().run(&p).expect("runs");
         let mut oracle = HierOracle(MemoryHierarchy::new(HierarchyConfig::out_of_order()));
         let mut fe = Executor::new(&p);
         fe.run(&mut oracle, 1_000_000).expect("functional runs");

@@ -127,7 +127,8 @@ impl InstrMeta {
 
     /// Whether the instruction is "plain": no memory access, no control
     /// transfer, no trap — the shape the batch fetch path streams through
-    /// [`crate::exec::Executor::step_block`] without consulting an oracle.
+    /// [`crate::exec::Executor::step_plain_run`] without consulting an
+    /// oracle.
     #[inline]
     pub fn is_plain(&self) -> bool {
         self.flags & (InstrMeta::MEM | InstrMeta::ENDS_BLOCK) == 0

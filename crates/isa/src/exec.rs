@@ -89,6 +89,9 @@ pub enum ExecError {
     InvalidPc(u64),
     /// `run` exceeded its step budget before reaching `halt`.
     StepLimit(u64),
+    /// [`Executor::step_plain_run`] met an instruction at this address that
+    /// is not plain (a memory access, control transfer or halt).
+    NotPlain(u64),
 }
 
 impl fmt::Display for ExecError {
@@ -96,6 +99,7 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::InvalidPc(pc) => write!(f, "no instruction at pc {pc:#x}"),
             ExecError::StepLimit(n) => write!(f, "step limit of {n} reached before halt"),
+            ExecError::NotPlain(pc) => write!(f, "instruction at pc {pc:#x} is not plain"),
         }
     }
 }
@@ -134,33 +138,6 @@ pub struct MemAccess {
     pub l1_miss: bool,
     /// The memory-operation kind (normal vs informing).
     pub kind: MemKind,
-}
-
-/// Why [`Executor::step_block`] stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockExit {
-    /// All requested steps executed without a batch-breaking event.
-    Done,
-    /// The last executed instruction was a load/store that missed in the
-    /// primary data cache.
-    Miss,
-    /// The last executed instruction left non-sequential control flow
-    /// (taken or not-taken branch, jump).
-    Control,
-    /// The last executed instruction was an informing operation that missed
-    /// and dispatched its handler.
-    Trap,
-    /// The machine halted.
-    Halted,
-}
-
-/// Result of one [`Executor::step_block`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockRun {
-    /// Instructions actually executed (0 if already halted).
-    pub executed: u32,
-    /// Why the batch stopped.
-    pub exit: BlockExit,
 }
 
 /// Everything the timing models need to know about one executed instruction.
@@ -587,44 +564,6 @@ impl<'p> Executor<'p> {
         self.program
     }
 
-    /// Executes up to `max_steps` instructions in one call, stopping early
-    /// at the first batch-breaking event: a primary-cache miss, any control
-    /// transfer (including an informing trap), or halt. `max_steps` is the caller's watch boundary — a
-    /// checkpoint `stop_at` or fetch-group limit lands there exactly.
-    ///
-    /// Semantics are single-sourced: each instruction goes through
-    /// [`Executor::step`], so a batch of `n` steps is bit-identical to `n`
-    /// individual steps against the same oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::InvalidPc`] if execution leaves the text
-    /// segment; instructions executed before the fault are retained.
-    pub fn step_block(
-        &mut self,
-        oracle: &mut dyn MissOracle,
-        max_steps: u32,
-    ) -> Result<BlockRun, ExecError> {
-        let mut executed = 0;
-        while executed < max_steps {
-            if self.state.halted {
-                return Ok(BlockRun { executed, exit: BlockExit::Halted });
-            }
-            let info = self.step(oracle)?;
-            executed += 1;
-            let exit = match info.control {
-                ControlFlow::Halt => Some(BlockExit::Halted),
-                ControlFlow::InformingTrap { .. } => Some(BlockExit::Trap),
-                ControlFlow::Taken(_) | ControlFlow::NotTaken => Some(BlockExit::Control),
-                ControlFlow::Sequential => info.mem.filter(|m| m.l1_miss).map(|_| BlockExit::Miss),
-            };
-            if let Some(exit) = exit {
-                return Ok(BlockRun { executed, exit });
-            }
-        }
-        Ok(BlockRun { executed, exit: BlockExit::Done })
-    }
-
     /// Executes `n` consecutive instructions the caller knows to be *plain*
     /// (no memory access, no control transfer, no trap, no halt — e.g.
     /// checked against [`crate::BlockCache::plain_run_len`]). Equivalent to
@@ -632,14 +571,12 @@ impl<'p> Executor<'p> {
     /// per-instruction fetch arithmetic, [`StepInfo`] materialization and
     /// control dispatch that plain instructions never need.
     ///
-    /// If an instruction in the range turns out not to be plain (a caller
-    /// invariant violation), the remainder of the batch is executed through
-    /// [`Executor::step_block`], preserving exact architectural semantics.
-    ///
     /// # Errors
     ///
     /// Returns [`ExecError::InvalidPc`] if the range leaves the text
-    /// segment.
+    /// segment, and [`ExecError::NotPlain`] at the first instruction in the
+    /// range that is not plain (a broken caller invariant); the plain
+    /// prefix before it stays executed.
     pub fn step_plain_run(&mut self, n: u32) -> Result<(), ExecError> {
         let pc = self.state.pc;
         let off = pc.wrapping_sub(crate::program::TEXT_BASE);
@@ -695,14 +632,11 @@ impl<'p> Executor<'p> {
                 ReadMar { rd } => s.set_int(rd, s.mar),
                 Nop => {}
                 _ => {
-                    // Not plain: the caller's run-length invariant is broken.
-                    // Commit the plain prefix, then take the single-sourced
-                    // generic path for the rest.
-                    debug_assert!(false, "step_plain_run hit a non-plain instruction");
+                    // The caller's run-length invariant is broken: commit the
+                    // plain prefix and stop here.
                     s.pc = pc + 4 * i as u64;
                     self.instret += i as u64;
-                    self.step_block(&mut NeverMiss, n - i as u32)?;
-                    return Ok(());
+                    return Err(ExecError::NotPlain(s.pc));
                 }
             }
         }
@@ -1058,83 +992,24 @@ mod tests {
     }
 
     #[test]
-    fn step_block_matches_individual_steps() {
+    fn step_plain_run_stops_at_a_control_transfer() {
         let mut a = Asm::new();
-        let (sum, i, n) = (r(1), r(2), r(3));
-        a.li(sum, 0);
-        a.li(i, 1);
-        a.li(n, 10);
-        let top = a.here("top");
-        a.add(sum, sum, i);
-        a.addi(i, i, 1);
-        a.branch(Cond::Le, i, n, top);
-        a.halt();
-        let p = a.assemble().unwrap();
-
-        let mut batched = Executor::new(&p);
-        while !batched.state().halted() {
-            batched.step_block(&mut NeverMiss, 4).unwrap();
-        }
-        let mut stepped = Executor::new(&p);
-        while !stepped.state().halted() {
-            stepped.step(&mut NeverMiss).unwrap();
-        }
-        assert_eq!(batched.instret(), stepped.instret());
-        assert_eq!(batched.into_state().encode(), stepped.into_state().encode());
-    }
-
-    #[test]
-    fn step_block_early_outs() {
-        let mut a = Asm::new();
-        let out = a.label("out");
-        a.li(r(1), 0x4000);
-        a.load(r(2), r(1), 0); // miss breaks the batch
-        a.nop();
-        a.nop();
-        a.jump(out); // control breaks it
-        a.bind(out).unwrap();
+        let skip = a.label("skip");
+        a.li(r(1), 1);
+        a.li(r(2), 2);
+        a.branch(Cond::Lt, r(1), r(2), skip); // taken
+        a.li(r(3), 3);
+        a.li(r(4), 4);
+        a.bind(skip).unwrap();
+        a.li(r(5), 5);
         a.halt();
         let p = a.assemble().unwrap();
         let mut e = Executor::new(&p);
-        let run = e.step_block(&mut AlwaysMiss, 16).unwrap();
-        assert_eq!((run.executed, run.exit), (2, BlockExit::Miss));
-        let run = e.step_block(&mut AlwaysMiss, 16).unwrap();
-        assert_eq!((run.executed, run.exit), (3, BlockExit::Control));
-        let run = e.step_block(&mut AlwaysMiss, 16).unwrap();
-        assert_eq!((run.executed, run.exit), (1, BlockExit::Halted));
-        let run = e.step_block(&mut AlwaysMiss, 16).unwrap();
-        assert_eq!((run.executed, run.exit), (0, BlockExit::Halted), "halted machine");
-    }
-
-    #[test]
-    fn step_block_respects_the_watch_boundary() {
-        let mut a = Asm::new();
-        for _ in 0..10 {
-            a.nop();
-        }
-        a.halt();
-        let p = a.assemble().unwrap();
-        let mut e = Executor::new(&p);
-        let run = e.step_block(&mut NeverMiss, 3).unwrap();
-        assert_eq!((run.executed, run.exit), (3, BlockExit::Done));
-        assert_eq!(e.instret(), 3);
-    }
-
-    #[test]
-    fn step_block_stops_at_informing_trap() {
-        let mut a = Asm::new();
-        let handler = a.label("h");
-        a.set_mhar(handler);
-        a.li(r(1), 0x4000);
-        a.load_inf(r(2), r(1), 0);
-        a.halt();
-        a.bind(handler).unwrap();
-        a.jump_mhrr();
-        let p = a.assemble().unwrap();
-        let mut e = Executor::new(&p);
-        let run = e.step_block(&mut AlwaysMiss, 16).unwrap();
-        assert_eq!((run.executed, run.exit), (3, BlockExit::Trap));
-        assert!(e.state().in_handler());
+        let branch_pc = p.entry() + 8;
+        assert_eq!(e.step_plain_run(4), Err(ExecError::NotPlain(branch_pc)));
+        assert_eq!(e.instret(), 2, "the plain prefix stays executed");
+        assert_eq!(e.state().pc(), branch_pc);
+        assert_eq!(e.state().int(r(2)), 2);
     }
 
     #[test]

@@ -270,8 +270,10 @@ const MAX_DEPTH: usize = 128;
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input, trailing garbage, or arrays
-/// and objects nested more than 128 levels deep.
+/// Returns [`ParseError`] on malformed input, trailing garbage, numbers
+/// outside `f64`'s finite range (the renderer writes a non-finite number as
+/// `null`, so accepting one would change the document on a round trip), or
+/// arrays and objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let b = text.as_bytes();
     let mut pos = 0;
@@ -431,11 +433,15 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
+    let n = std::str::from_utf8(&b[start..*pos])
         .ok()
         .and_then(|t| t.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or(ParseError { at: start, msg: "invalid number" })
+        .ok_or(ParseError { at: start, msg: "invalid number" })?;
+    if n.is_finite() {
+        Ok(Json::Num(n))
+    } else {
+        Err(ParseError { at: start, msg: "number out of range" })
+    }
 }
 
 #[cfg(test)]
@@ -537,5 +543,56 @@ mod tests {
         let mut s = String::new();
         write_num(&mut s, f64::NAN);
         assert_eq!(s, "null");
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected() {
+        assert_eq!(parse("1.7976931348623157e308"), Ok(Json::Num(f64::MAX)));
+        for text in ["1e400", "-2E+309", "[0, 1.8e308]"] {
+            assert_eq!(parse(text).unwrap_err().msg, "number out of range", "{text}");
+        }
+    }
+
+    /// Seeded mutation sweep: every single-byte replace, insert or delete of
+    /// a document either fails to parse or parses to a value that renders
+    /// to text parsing back equal, and none panics.
+    #[test]
+    fn mutants_fail_or_round_trip() {
+        let small = r#"{"a": [1, -2.5, 1.7976931348623157e308, 4.9e-324], "s": "x\"\u00e9€", "t": true, "n": null}"#;
+        let rows = (0..12).map(|i| {
+            Json::obj([
+                ("app", Json::from(format!("app{i}-é"))),
+                ("cycles", Json::from(1_000_003u64 * i)),
+                ("ratio", Json::from(1.0 + i as f64 / 7.0)),
+                ("flags", Json::arr([Json::Bool(i % 2 == 0), Json::Null])),
+            ])
+        });
+        let payload = Json::obj([("data", Json::arr(rows)), ("note", Json::from("tab\there"))]);
+        let large = format!("[{}, 2.5e300, -1E-300]", payload.pretty());
+        let alphabet: Vec<char> = "{}[]:,\"\\-+.eE0123456789 tnu€".chars().collect();
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x150_1996);
+        let (mut parsed, mut tried) = (0, 0);
+        for doc in [small, large.as_str()] {
+            for _ in 0..3_000 {
+                let mut bytes = doc.as_bytes().to_vec();
+                let at = rng.gen_range(0..bytes.len());
+                let mut buf = [0; 4];
+                let with = alphabet[rng.gen_range(0..alphabet.len())].encode_utf8(&mut buf);
+                let with = with.as_bytes();
+                match rng.gen_range(0..3u32) {
+                    0 => drop(bytes.splice(at..at + 1, with.iter().copied())),
+                    1 => drop(bytes.splice(at..at, with.iter().copied())),
+                    _ => drop(bytes.remove(at)),
+                }
+                let Ok(text) = String::from_utf8(bytes) else { continue };
+                tried += 1;
+                if let Ok(v) = parse(&text) {
+                    parsed += 1;
+                    assert_eq!(parse(&v.compact()).as_ref(), Ok(&v), "mutant {text}");
+                    assert_eq!(parse(&v.pretty()).as_ref(), Ok(&v), "mutant {text}");
+                }
+            }
+        }
+        assert!(parsed > 100 && parsed < tried, "{parsed} of {tried} mutants parsed");
     }
 }

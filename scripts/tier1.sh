@@ -5,9 +5,9 @@
 #
 # `cargo test --workspace` runs every tests/*.rs target (fault_injection,
 # parallel_sweep, …) and every member crate's unit tests; nothing is re-run
-# individually. The example smoke
-# list is derived from examples/*.rs so new examples are covered
-# automatically.
+# individually. perfbench/ is a workspace of its own, so it gets its own fmt,
+# clippy and test steps. The example smoke list is derived from examples/*.rs
+# so new examples are covered automatically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +29,17 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== perfbench: fmt, clippy -D warnings, tests =="
+# perfbench calls the simulator's entry points (Machine::run_limited,
+# run_observed, speed_stats, imo_coherence::simulate), so an API change that
+# breaks it fails here. It builds into the root target/, as perfbench/run.sh
+# does.
+perfbench=(--manifest-path perfbench/Cargo.toml)
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}"
+cargo fmt --check "${perfbench[@]}"
+cargo clippy "${perfbench[@]}" --all-targets --offline -- -D warnings
+cargo test -q --offline "${perfbench[@]}"
 
 echo "== example smoke tests =="
 for src in examples/*.rs; do

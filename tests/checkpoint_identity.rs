@@ -2,9 +2,9 @@
 //! in-process, from the JSON wire, or in a freshly spawned process — is
 //! invisible to the simulation.
 //!
-//! `RunLimits::stop_at(c)` makes a `SimSession` run halt at the first cycle
-//! boundary at or after `c` and emit a [`Checkpoint`] instead of a result.
-//! Every test here demands that resuming the checkpoint produces a
+//! `SimSession::stop_at(c)` makes a run halt at the first cycle boundary at
+//! or after `c` and emit a [`Checkpoint`] instead of a result. Every test
+//! here demands that resuming the checkpoint produces a
 //! `RunResult` bit-identical to the uninterrupted run: counters, slot
 //! accounting, trap and misprediction totals, branch accuracy, all of it.
 //! The observed variants additionally demand that the CPI stack of a resumed
@@ -73,8 +73,8 @@ fn all_workloads_machines_schemes_resume_bit_identically() {
                 let baseline = machine
                     .run_limited(&inst.program, RunLimits::default())
                     .unwrap_or_else(|e| panic!("{}/{label}: {e}", spec.name));
-                let outcome = SimSession::new(&inst.program, machine.core_config())
-                    .limits(RunLimits::stop_at(baseline.cycles / 2))
+                let outcome = SimSession::new(&inst.program, machine)
+                    .stop_at(baseline.cycles / 2)
                     .run()
                     .unwrap_or_else(|e| panic!("{}/{label} (stop): {e}", spec.name));
                 let resumed = match outcome {
@@ -85,7 +85,7 @@ fn all_workloads_machines_schemes_resume_bit_identically() {
                             mid_miss_cells += 1;
                         }
                         complete(
-                            SimSession::new(&inst.program, machine.core_config())
+                            SimSession::new(&inst.program, machine)
                                 .resume(&back)
                                 .unwrap_or_else(|e| panic!("{}/{label} (resume): {e}", spec.name)),
                         )
@@ -132,8 +132,8 @@ fn observed_resume_reconciles_cpi_exactly() {
         assert_eq!(base_rec.cpi.total(), baseline.cycles, "baseline CPI covers every cycle");
 
         let mut first_rec = Recorder::all();
-        let outcome = SimSession::new(&inst.program, machine.core_config())
-            .limits(RunLimits::stop_at(baseline.cycles / 2))
+        let outcome = SimSession::new(&inst.program, machine)
+            .stop_at(baseline.cycles / 2)
             .recorder(&mut first_rec)
             .run()
             .expect("observed run pauses");
@@ -141,7 +141,7 @@ fn observed_resume_reconciles_cpi_exactly() {
 
         let mut resume_rec = Recorder::all();
         let resumed = complete(
-            SimSession::new(&inst.program, machine.core_config())
+            SimSession::new(&inst.program, machine)
                 .recorder(&mut resume_rec)
                 .resume(&ckpt)
                 .expect("observed resume completes"),
@@ -172,17 +172,13 @@ fn fast_path_pauses_with_plain_runs_pending_resume_identically() {
         let stops: Vec<u64> =
             (mid..mid + 8).chain([baseline.cycles / 4, 3 * baseline.cycles / 4]).collect();
         for stop in stops {
-            let outcome = SimSession::new(&p, machine.core_config())
-                .limits(RunLimits::stop_at(stop))
-                .run()
-                .expect("paused run");
+            let outcome = SimSession::new(&p, machine).stop_at(stop).run().expect("paused run");
             let Outcome::Paused(ckpt) = outcome else {
                 panic!("{}: run must pause at {stop}", machine.name())
             };
             let (back, _) = wire_trip(&ckpt);
-            let resumed = complete(
-                SimSession::new(&p, machine.core_config()).resume(&back).expect("resume completes"),
-            );
+            let resumed =
+                complete(SimSession::new(&p, machine).resume(&back).expect("resume completes"));
             assert_eq!(
                 resumed,
                 baseline,
@@ -214,15 +210,15 @@ fn random_stop_cycles_resume_identically() {
             .run_limited(&inst.program, RunLimits::default())
             .map_err(|e| format!("{name} on {}: {e}", machine.name()))?;
         let stop = g.int(1..baseline.cycles.max(2));
-        let outcome = SimSession::new(&inst.program, machine.core_config())
-            .limits(RunLimits::stop_at(stop))
+        let outcome = SimSession::new(&inst.program, machine)
+            .stop_at(stop)
             .run()
             .map_err(|e| format!("{name} stop {stop}: {e}"))?;
         let resumed = match outcome {
             Outcome::Paused(ckpt) => {
                 ensure_eq!(ckpt.cycle() >= stop, true, "{name}: pause respects the boundary");
                 let (back, _) = wire_trip(&ckpt);
-                match SimSession::new(&inst.program, machine.core_config())
+                match SimSession::new(&inst.program, machine)
                     .resume(&back)
                     .map_err(|e| format!("{name} resume: {e}"))?
                 {
@@ -257,9 +253,8 @@ fn chained_slices_resume_bit_identically() {
             let baseline =
                 machine.run_limited(&inst.program, RunLimits::default()).expect("uninterrupted");
             let stride = (baseline.cycles / 20).max(1);
-            let session = || SimSession::new(&inst.program, machine.core_config());
-            let mut outcome =
-                session().limits(RunLimits::stop_at(stride)).run().expect("first slice");
+            let session = || SimSession::new(&inst.program, machine);
+            let mut outcome = session().stop_at(stride).run().expect("first slice");
             let mut pauses = 0u32;
             let resumed = loop {
                 match outcome {
@@ -269,7 +264,7 @@ fn chained_slices_resume_bit_identically() {
                         let (back, _) = wire_trip(&ckpt);
                         let stop = back.cycle() + stride;
                         outcome = session()
-                            .limits(RunLimits::stop_at(stop))
+                            .stop_at(stop)
                             .resume(&back)
                             .unwrap_or_else(|e| panic!("{name}: slice at {stop}: {e}"));
                     }
@@ -312,10 +307,8 @@ fn resume_edited(machine: Machine, edit: impl FnOnce(&mut Json)) -> Result<Outco
     let p = (by_name("xlisp").expect("workload exists").build)(Scale::Test);
     let [_, (_, trap), _] = schemes();
     let inst = instrument(&p, &trap).expect("instruments");
-    let outcome = SimSession::new(&inst.program, machine.core_config())
-        .limits(RunLimits::stop_at(237))
-        .run()
-        .expect("bounded run pauses");
+    let outcome =
+        SimSession::new(&inst.program, machine).stop_at(237).run().expect("bounded run pauses");
     let Outcome::Paused(ckpt) = outcome else { panic!("cycle 237 is before the end") };
     let mut wire = ckpt.to_wire();
     let body = field_mut(field_mut(&mut wire, "data"), "body");
@@ -323,7 +316,7 @@ fn resume_edited(machine: Machine, edit: impl FnOnce(&mut Json)) -> Result<Outco
     assert!(arr_mut(body, window).len() >= 4, "the pause must catch a populated {window}");
     edit(body);
     let edited = Checkpoint::from_wire(&wire).expect("edited wire still decodes");
-    SimSession::new(&inst.program, machine.core_config()).resume(&edited)
+    SimSession::new(&inst.program, machine).resume(&edited)
 }
 
 fn assert_bad(result: Result<Outcome, SimError>, field: &str) {
@@ -399,6 +392,26 @@ fn noncontiguous_inorder_queue_checkpoint_is_rejected() {
     );
 }
 
+/// Adds one to the front end's retired-instruction count, which sets the
+/// next sequence number fetch hands out.
+fn bump_instret(body: &mut Json) {
+    let fe = field_mut(body, "fe");
+    let instret = snapshot::get_u64(fe, "instret").expect("instret decodes");
+    *field_mut(fe, "instret") = snapshot::u64_json(instret + 1);
+}
+
+/// An in-order front end one instruction past its fetch queue's tail.
+#[test]
+fn inorder_instret_past_the_queue_is_rejected() {
+    assert_bad(resume_edited(Machine::default_in_order(), bump_instret), "queue");
+}
+
+/// An out-of-order front end one instruction past its window's tail.
+#[test]
+fn ooo_instret_past_the_window_is_rejected() {
+    assert_bad(resume_edited(Machine::default_ooo(), bump_instret), "fetch_q");
+}
+
 /// A rename map naming an instruction that was never dispatched.
 #[test]
 fn undispatched_rename_checkpoint_is_rejected() {
@@ -464,7 +477,7 @@ fn fresh_process_resume_child() {
     assert_eq!(ckpts.len(), machines.len());
     let results = machines.iter().zip(ckpts).map(|(machine, j)| {
         let ckpt = Checkpoint::from_wire(j).expect("child decodes checkpoint");
-        let outcome = SimSession::new(&program, machine.core_config())
+        let outcome = SimSession::new(&program, *machine)
             .resume(&ckpt)
             .unwrap_or_else(|e| panic!("child resume on {}: {e}", machine.name()));
         result_json(&complete(outcome))
@@ -484,8 +497,8 @@ fn fresh_process_resume_is_bit_identical() {
     let mut expected = Vec::new();
     for machine in [Machine::default_ooo(), Machine::default_in_order()] {
         let full = machine.run_limited(&program, RunLimits::default()).expect("completes");
-        let outcome = SimSession::new(&program, machine.core_config())
-            .limits(RunLimits::stop_at(full.cycles / 2))
+        let outcome = SimSession::new(&program, machine)
+            .stop_at(full.cycles / 2)
             .run()
             .expect("bounded run pauses");
         let Outcome::Paused(ckpt) = outcome else { panic!("midpoint is before the end") };

@@ -5,7 +5,7 @@
 use informing_memops::core::experiment::{figure2_variants, run_experiment};
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
-use informing_memops::cpu::{ooo, OooConfig, RunLimits, TrapModel};
+use informing_memops::cpu::{OooConfig, RunLimits, TrapModel};
 use informing_memops::workloads::{all, by_name, Scale};
 
 fn program_of(name: &str) -> informing_memops::isa::Program {
@@ -81,7 +81,7 @@ fn trap_as_exception_costs_more_and_gap_shrinks_with_handler_length() {
         let inst = instrument(&p, &scheme).expect("instruments");
         let mut cfg = OooConfig::paper();
         cfg.trap_model = trap_model;
-        ooo::simulate(&inst.program, &cfg, RunLimits::default()).expect("runs").cycles
+        Machine::OutOfOrder(cfg).run(&inst.program).expect("runs").cycles
     };
     let b1 = run(TrapModel::Branch, 1);
     let e1 = run(TrapModel::Exception, 1);

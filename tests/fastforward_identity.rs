@@ -106,13 +106,13 @@ fn block_batch_modes_are_tick_identical() {
             mode => {
                 debug_assert_eq!(mode, "stop_at");
                 let stop = g.int(1..tick.cycles.max(2));
-                let outcome = SimSession::new(&inst.program, machine.core_config())
-                    .limits(RunLimits::stop_at(stop))
+                let outcome = SimSession::new(&inst.program, machine)
+                    .stop_at(stop)
                     .run()
                     .map_err(|e| format!("{ctx} stop {stop}: {e}"))?;
                 let resumed = match outcome {
                     Outcome::Paused(ckpt) => run_to_completion(
-                        SimSession::new(&inst.program, machine.core_config())
+                        SimSession::new(&inst.program, machine)
                             .resume(&ckpt)
                             .map_err(|e| format!("{ctx} resume: {e}"))?,
                     )?,
@@ -200,7 +200,7 @@ fn observed(
     make: MakeRecorder,
 ) -> Result<(RunResult, Recorder), String> {
     let mut rec = make(machine);
-    let outcome = SimSession::new(program, machine.core_config())
+    let outcome = SimSession::new(program, *machine)
         .limits(limits)
         .recorder(&mut rec)
         .run()

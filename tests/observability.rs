@@ -11,7 +11,7 @@
 use informing_memops::coherence::{
     simulate_baseline, simulate_observed as coh_observed, MachineParams, Scheme,
 };
-use informing_memops::cpu::{inorder, ooo, InOrderConfig, OooConfig, RunLimits};
+use informing_memops::cpu::Machine;
 use informing_memops::faults::{FaultConfig, FaultPlan};
 use informing_memops::obs::{chrome_trace, Category, CategoryMask, Recorder};
 use informing_memops::workloads::parallel::{migratory, TraceConfig};
@@ -24,9 +24,7 @@ fn cpi_stack_reconciles_exactly_on_every_workload_and_machine() {
         let p = (s.build)(Scale::Test);
 
         let mut rec = Recorder::all();
-        let (res, _) =
-            ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-                .expect("ooo simulates");
+        let (res, _) = Machine::default_ooo().run_observed(&p, &mut rec).expect("ooo simulates");
         assert_eq!(
             rec.cpi.total(),
             res.cycles,
@@ -37,8 +35,7 @@ fn cpi_stack_reconciles_exactly_on_every_workload_and_machine() {
 
         let mut rec = Recorder::all();
         let (res, _) =
-            inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-                .expect("in-order simulates");
+            Machine::default_in_order().run_observed(&p, &mut rec).expect("in-order simulates");
         assert_eq!(
             rec.cpi.total(),
             res.cycles,
@@ -54,19 +51,15 @@ fn disabled_recorder_reproduces_the_unobserved_run_bit_for_bit() {
     for s in spec::all() {
         let p = (s.build)(Scale::Test);
 
-        let plain = ooo::simulate(&p, &OooConfig::paper(), RunLimits::default()).unwrap();
+        let plain = Machine::default_ooo().run(&p).unwrap();
         let mut rec = Recorder::disabled();
-        let (observed, _) =
-            ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-                .unwrap();
+        let (observed, _) = Machine::default_ooo().run_observed(&p, &mut rec).unwrap();
         assert_eq!(plain, observed, "{}/ooo must be identical under a disabled recorder", s.name);
         assert!(rec.is_empty(), "a disabled recorder retains no events");
 
-        let plain = inorder::simulate(&p, &InOrderConfig::paper(), RunLimits::default()).unwrap();
+        let plain = Machine::default_in_order().run(&p).unwrap();
         let mut rec = Recorder::disabled();
-        let (observed, _) =
-            inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-                .unwrap();
+        let (observed, _) = Machine::default_in_order().run_observed(&p, &mut rec).unwrap();
         assert_eq!(plain, observed, "{}/in-order must be identical too", s.name);
     }
 }
@@ -76,10 +69,9 @@ fn full_recorder_is_also_passive() {
     // Not just the disabled path: recording everything must not perturb
     // timing either.
     let p = (spec::by_name("compress").unwrap().build)(Scale::Test);
-    let plain = ooo::simulate(&p, &OooConfig::paper(), RunLimits::default()).unwrap();
+    let plain = Machine::default_ooo().run(&p).unwrap();
     let mut rec = Recorder::all();
-    let (observed, _) =
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec).unwrap();
+    let (observed, _) = Machine::default_ooo().run_observed(&p, &mut rec).unwrap();
     assert_eq!(plain, observed);
     assert!(rec.total_recorded() > 0);
 }
@@ -89,7 +81,7 @@ fn chrome_export_is_byte_identical_for_identical_runs() {
     let p = (spec::by_name("eqntott").unwrap().build)(Scale::Test);
     let export = |mask: CategoryMask| {
         let mut rec = Recorder::new(mask);
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec).unwrap();
+        Machine::default_ooo().run_observed(&p, &mut rec).unwrap();
         chrome_trace(&rec).pretty()
     };
     let mask = CategoryMask::of(&[Category::Pipeline, Category::Cache, Category::Trap]);
@@ -104,7 +96,7 @@ fn chrome_export_is_byte_identical_for_identical_runs() {
 fn chrome_export_parses_as_json() {
     let p = (spec::by_name("ora").unwrap().build)(Scale::Test);
     let mut rec = Recorder::all();
-    ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec).unwrap();
+    Machine::default_ooo().run_observed(&p, &mut rec).unwrap();
     let doc = chrome_trace(&rec).pretty();
     let parsed = informing_memops::util::json::parse(&doc).expect("export must re-parse");
     assert!(parsed.get("traceEvents").is_some());
@@ -115,7 +107,7 @@ fn chrome_export_parses_as_json() {
 fn category_mask_filters_event_streams() {
     let p = (spec::by_name("compress").unwrap().build)(Scale::Test);
     let mut rec = Recorder::new(CategoryMask::of(&[Category::Cache]));
-    ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec).unwrap();
+    Machine::default_ooo().run_observed(&p, &mut rec).unwrap();
     assert!(!rec.is_empty(), "cache events must be recorded");
     assert!(
         rec.events().iter().all(|e| e.kind.category() == Category::Cache),
@@ -127,7 +119,7 @@ fn category_mask_filters_event_streams() {
 fn ring_buffer_bounds_retention_and_counts_drops() {
     let p = (spec::by_name("compress").unwrap().build)(Scale::Test);
     let mut rec = Recorder::with_capacity(CategoryMask::ALL, 64);
-    ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec).unwrap();
+    Machine::default_ooo().run_observed(&p, &mut rec).unwrap();
     assert_eq!(rec.len(), 64, "retention is capped at the ring capacity");
     assert!(rec.dropped() > 0);
     assert_eq!(rec.total_recorded(), rec.len() as u64 + rec.dropped());
