@@ -16,8 +16,10 @@
 //! | `ablation_mshr` | §3.3 — MSHR lifetime extension (squash-invalidate) |
 //! | `ablation_checkpoints` | §3.2 — shadow-checkpoint pressure under informing-as-branch |
 //! | `fault_resilience` | fault-rate × backoff sweep of the resilient coherence protocol |
+//! | `attrib` | miss attribution: every demand miss classified, reconciled exactly with the cache counters |
 //! | `substrate` | wall-clock microbenches of the simulator substrate itself |
 //! | `obs_overhead` | recorder identity proofs + observation wall-clock cost |
+//! | `simspeed` | simulated cycles per host second, fast path vs tick-accurate, on both machines |
 //!
 //! Each target is a thin `benches/<name>.rs` main over a module in
 //! [`targets`], which exposes `compute()`/`payload()`/`print()` separately

@@ -1,14 +1,14 @@
 //! Shared experiment runners used by the bench targets, built on the
-//! deterministic parallel sweep engine in [`crate::sweep`].
+//! deterministic parallel sweep engine in [`crate::sweep`]: both run their
+//! cells through the memo, so a cell another target already ran is not
+//! simulated again.
 
-use imo_coherence::{simulate_baseline, MachineParams, Scheme, SimResult};
+use imo_coherence::{MachineParams, Scheme, SimResult};
 use imo_core::experiment::{ExperimentResult, Variant};
-use imo_util::hash::debug_hash;
-use imo_workloads::parallel::{all_apps, ParallelTrace, TraceConfig};
+use imo_workloads::parallel::TraceConfig;
 use imo_workloads::Scale;
 
-use crate::codec::{decode_sim_result, sim_result_json};
-use crate::sweep::{cpu_cells, cross2, memoized_stored, run_cpu_cells, SweepSpec};
+use crate::sweep::{coh_cells, cpu_cells, run_cpu_cells, SweepSpec};
 
 /// Runs the Figure 2/3 variant set for one workload on both machines
 /// (a 1 × 2 sweep; the full-figure targets fan out all workloads at once).
@@ -33,27 +33,10 @@ pub struct Fig4Row {
     pub normalized: [f64; 3],
 }
 
-/// [`simulate_baseline`] through both memo tiers
-/// ([`crate::sweep::memoized_stored`]). The trace — tens of thousands of
-/// generated ops — enters the key as a structural `Debug` hash rather than
-/// verbatim; every other counter-relevant input (`scheme`, full machine
-/// params) is in the key directly. Values persist through the
-/// [`crate::codec`] `SimResult` codec, so warm runs serve the Figure 4 /
-/// fault-identity baselines from disk.
-pub fn memoized_baseline(app: &ParallelTrace, scheme: Scheme, params: &MachineParams) -> SimResult {
-    let key = format!("coh-baseline/{}/{:016x}/{scheme:?}/{params:?}", app.name, debug_hash(app));
-    memoized_stored(&key, sim_result_json, decode_sim_result, || {
-        simulate_baseline(app, scheme, params)
-    })
-}
-
 /// Runs Figure 4: every application under every scheme, as an app-major
-/// app × scheme sweep across the pool.
+/// app × scheme sweep of [`crate::sweep::CohCell`]s across the pool.
 pub fn fig4_rows(trace_cfg: &TraceConfig, params: &MachineParams) -> Vec<Fig4Row> {
-    let apps = all_apps(trace_cfg);
-    let cells = cross2(&apps, &Scheme::all());
-    let results = SweepSpec::new("fig4", cells)
-        .run(|_, (app, scheme)| memoized_baseline(&app, scheme, params));
+    let results = SweepSpec::new("fig4", coh_cells(*trace_cfg, *params)).run(|_, cell| cell.run());
     results
         .chunks_exact(Scheme::all().len())
         .map(|chunk| {

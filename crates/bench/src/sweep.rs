@@ -12,23 +12,26 @@
 //!
 //! The module also provides the two canonical cell shapes of this paper's
 //! experiment matrix: [`CpuCell`] (one workload × machine × variant-set
-//! point of the Figure 2/3-style sweeps) and the parallel
-//! [`crate::runners::fig4_rows`] app × scheme sweep built on it.
+//! point of the Figure 2/3-style sweeps) and [`CohCell`] (one application ×
+//! scheme × machine point of the Figure 4-style coherence sweeps).
 //!
 //! ## Result memoization
 //!
-//! The 13 bench targets overlap: `handler100` re-runs `fig2`/`fig3`'s
-//! uninstrumented N cells, `fig4_sensitivity`'s centre sweep points are
-//! exactly `fig4`'s matrix, `fault_resilience`'s migratory baseline is one
-//! of its own identity cells. [`memoized`] is a process-wide cache keyed by
-//! a *structural* key string — every input that can change the simulated
-//! counters (workload spec, machine params, scheme, fault plan, seed,
-//! limits) rendered via `Debug`, with oversized components (generated
-//! traces) folded to an [`imo_util::hash::debug_hash`] — so one `registry()`
-//! pass (`ci_gate`, `tier2.sh`) simulates each distinct cell once.
-//! Simulations are deterministic, which is what makes serving a cached
-//! `RunResult` sound: a cache hit is bit-identical to a re-run, and
-//! [`memo_stats`] proves the dedup coverage without affecting any payload.
+//! The bench targets overlap: `handler100` re-runs `fig2`/`fig3`'s
+//! uninstrumented N cells, `branch_vs_exception`'s branch-model runs and
+//! `ablation_checkpoints`' 12-checkpoint run are `fig2` cells,
+//! `fig4_sensitivity`'s centre sweep points are exactly `fig4`'s matrix,
+//! `fault_resilience`'s migratory baseline is one of its own identity
+//! cells. [`memoized`] is a process-wide cache keyed by a *structural* key
+//! string — every input that can change the simulated counters (workload
+//! name and scale, or application name and trace parameters; machine
+//! params, scheme, limits) rendered via `Debug` — so one `registry()` pass
+//! (`ci_gate`, `tier2.sh`) simulates each distinct cell once. A key names
+//! the inputs a program or trace is generated from, never the generated
+//! value, so a hit builds nothing. Simulations are deterministic, which is
+//! what makes serving a cached result sound: a cache hit is bit-identical
+//! to a re-run, and [`memo_stats`] proves the dedup coverage without
+//! affecting any payload.
 //!
 //! ## The on-disk L2: the content-addressed sweep store
 //!
@@ -53,6 +56,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use imo_coherence::{simulate_baseline, MachineParams, Scheme, SimResult};
 use imo_core::experiment::{normalize_experiment, ExperimentResult, Variant};
 use imo_core::instrument::instrument;
 use imo_core::Machine;
@@ -61,9 +65,10 @@ use imo_util::json::Json;
 use imo_util::pool::Pool;
 use imo_util::snapshot::SnapshotError;
 use imo_util::store::{Store, StoreMode};
+use imo_workloads::parallel::{App, TraceConfig, APPS};
 use imo_workloads::{by_name, Scale};
 
-use crate::codec::{decode_result, result_json};
+use crate::codec::{decode_result, decode_sim_result, result_json, sim_result_json};
 
 /// Process-wide memo cache: structural key → boxed result.
 static MEMO: OnceLock<Mutex<HashMap<String, Box<dyn Any + Send + Sync>>>> = OnceLock::new();
@@ -440,6 +445,47 @@ pub fn cpu_cells(names: &[&'static str], scale: Scale, variants: &[Variant]) -> 
 /// order.
 pub fn run_cpu_cells(name: &'static str, cells: Vec<CpuCell>) -> Vec<ExperimentResult> {
     SweepSpec::new(name, cells).run(|_, cell| cell.run())
+}
+
+/// One cell of a Figure 4-style sweep: an application's trace, generated
+/// from `trace`, under one access-control scheme on one machine.
+#[derive(Debug, Clone, Copy)]
+pub struct CohCell {
+    /// The application, from [`APPS`].
+    pub app: App,
+    /// The parameters its trace is generated from.
+    pub trace: TraceConfig,
+    /// Access-control scheme.
+    pub scheme: Scheme,
+    /// Machine parameters.
+    pub params: MachineParams,
+}
+
+impl CohCell {
+    /// Runs this cell's fault-free baseline ([`simulate_baseline`]) through
+    /// both memo tiers ([`memoized_stored`]). The key holds the trace's
+    /// generator inputs, not the trace, and the trace is only generated if
+    /// the cell misses both tiers.
+    #[must_use]
+    pub fn run(&self) -> SimResult {
+        let key = format!(
+            "coh-baseline/{}/{:?}/{:?}/{:?}",
+            self.app.name, self.trace, self.scheme, self.params
+        );
+        memoized_stored(&key, sim_result_json, decode_sim_result, || {
+            simulate_baseline(&(self.app.build)(&self.trace), self.scheme, &self.params)
+        })
+    }
+}
+
+/// Builds the app-major × scheme cell list of a Figure 4-style sweep: every
+/// application of [`APPS`] under each of [`Scheme::all`].
+#[must_use]
+pub fn coh_cells(trace: TraceConfig, params: MachineParams) -> Vec<CohCell> {
+    cross2(&APPS, &Scheme::all())
+        .into_iter()
+        .map(|(app, scheme)| CohCell { app, trace, scheme, params })
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,13 +4,14 @@
 //! informing-as-branch needs ~3× as much shadow state. A checkpoint-budget
 //! sweep on a dense informing workload.
 
-use imo_core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
+use imo_core::experiment::Variant;
+use imo_core::instrument::{HandlerBody, HandlerKind, Scheme};
 use imo_cpu::{Machine, OooConfig};
 use imo_util::json::Json;
-use imo_workloads::{by_name, Scale};
+use imo_workloads::Scale;
 
 use crate::report::{emit, Table};
-use crate::sweep::SweepSpec;
+use crate::sweep::{CpuCell, SweepSpec};
 
 const BUDGETS: [u32; 5] = [1, 2, 3, 6, 12];
 
@@ -20,24 +21,27 @@ pub struct Output {
     pub cycles: Vec<(u32, u64)>,
 }
 
-/// Runs the checkpoint-budget sweep across the pool.
+/// Runs the checkpoint-budget sweep across the pool. Each budget is a
+/// one-variant [`CpuCell`], so its run goes through the memo; the
+/// 12-checkpoint run (`OooConfig::paper()`'s budget) is a `fig2` cell.
 ///
 /// # Panics
 ///
 /// Panics if the workload is missing or a simulation fails.
 #[must_use]
 pub fn compute() -> Output {
-    let spec = by_name("alvinn").expect("alvinn exists"); // dense, mostly-hitting loads
-    let program = (spec.build)(Scale::Small);
     let scheme =
         Scheme::Trap { handlers: HandlerKind::Single, body: HandlerBody::Generic { len: 1 } };
-    let inst = instrument(&program, &scheme).expect("instruments");
-
     let cycles = SweepSpec::new("ablation_checkpoints", BUDGETS.to_vec()).run(|_, c| {
         let mut cfg = OooConfig::paper();
         cfg.max_checkpoints = c;
-        let r = Machine::OutOfOrder(cfg).run(&inst.program).expect("runs");
-        (c, r.cycles)
+        let cell = CpuCell {
+            workload: "alvinn", // dense, mostly-hitting loads
+            scale: Scale::Small,
+            machine: Machine::OutOfOrder(cfg),
+            variants: vec![Variant { label: "S", scheme }],
+        };
+        (c, cell.run().raw[0].1.cycles)
     });
     Output { cycles }
 }

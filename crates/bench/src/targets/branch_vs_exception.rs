@@ -5,15 +5,15 @@
 //! the exception treatment 9 % / 7 % slower on `compress` with 1- /
 //! 10-instruction handlers. A handler-length × trap-model sweep.
 
-use imo_core::experiment::{run_experiment, Variant};
+use imo_core::experiment::Variant;
 use imo_core::instrument::{HandlerBody, HandlerKind, Scheme};
 use imo_core::Machine;
-use imo_cpu::{OooConfig, RunLimits, TrapModel};
+use imo_cpu::{OooConfig, TrapModel};
 use imo_util::json::Json;
-use imo_workloads::{by_name, Scale};
+use imo_workloads::Scale;
 
 use crate::report::emit;
-use crate::sweep::{cross2, SweepSpec};
+use crate::sweep::{cross2, CpuCell, SweepSpec};
 
 /// One cell's outcome: the instrumented run under one trap model.
 pub struct Cell {
@@ -33,37 +33,34 @@ pub struct Output {
     pub cells: Vec<Cell>,
 }
 
-/// Runs the 2 × 2 sweep across the pool.
+/// Runs the 2 × 2 sweep across the pool. Each cell is a [`CpuCell`], so
+/// its runs go through the memo; the branch-model ones are `fig2` cells.
 ///
 /// # Panics
 ///
 /// Panics if `compress` is missing or a simulation fails.
 #[must_use]
 pub fn compute() -> Output {
-    let spec = by_name("compress").expect("compress exists");
-    let program = (spec.build)(Scale::Small);
     let cells = cross2(&[1u32, 10], &[TrapModel::Branch, TrapModel::Exception]);
     let results = SweepSpec::new("branch_vs_exception", cells).run(|_, (len, trap_model)| {
-        let variants = [
-            Variant { label: "N", scheme: Scheme::None },
-            Variant {
-                label: "S",
-                scheme: Scheme::Trap {
-                    handlers: HandlerKind::Single,
-                    body: HandlerBody::Generic { len },
-                },
-            },
-        ];
         let mut cfg = OooConfig::paper();
         cfg.trap_model = trap_model;
-        let res = run_experiment(
-            "compress",
-            &program,
-            &Machine::OutOfOrder(cfg),
-            &variants,
-            RunLimits::default(),
-        )
-        .expect("experiment runs");
+        let cell = CpuCell {
+            workload: "compress",
+            scale: Scale::Small,
+            machine: Machine::OutOfOrder(cfg),
+            variants: vec![
+                Variant { label: "N", scheme: Scheme::None },
+                Variant {
+                    label: "S",
+                    scheme: Scheme::Trap {
+                        handlers: HandlerKind::Single,
+                        body: HandlerBody::Generic { len },
+                    },
+                },
+            ],
+        };
+        let res = cell.run();
         let s = res.raw.iter().find(|(l, _)| *l == "S").expect("S ran").1;
         let norm = res.bars.iter().find(|b| b.label == "S").expect("S bar").total;
         Cell { handler_len: len, trap_model, cycles: s.cycles, norm_time: norm }

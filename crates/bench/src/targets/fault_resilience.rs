@@ -11,11 +11,10 @@
 use imo_coherence::{simulate_faulty, BackoffPolicy, MachineParams, Scheme};
 use imo_faults::{FaultConfig, FaultPlan};
 use imo_util::json::Json;
-use imo_workloads::parallel::{all_apps, migratory, TraceConfig};
+use imo_workloads::parallel::{app_by_name, TraceConfig};
 
 use crate::report::{emit, Table};
-use crate::runners::memoized_baseline;
-use crate::sweep::{cross2, SweepSpec};
+use crate::sweep::{coh_cells, cross2, CohCell, SweepSpec};
 
 const DROP_RATES: [f64; 5] = [0.0, 0.02, 0.05, 0.10, 0.20];
 const FAULT_SEED: u64 = 0x1996;
@@ -64,19 +63,21 @@ pub fn compute() -> Output {
     let cfg = trace_config();
     let params = MachineParams::table2();
 
-    // 1. Zero-fault identity across every app and scheme.
-    let id_cells = cross2(&all_apps(&cfg), &Scheme::all());
-    let identity = SweepSpec::new("fault_identity", id_cells).run(|_, (app, scheme)| {
-        let base = memoized_baseline(&app, scheme, &params);
-        let faulty = simulate_faulty(&app, scheme, &params, &FaultPlan::none())
+    // 1. Zero-fault identity across every app and scheme. The baseline may
+    // come from the memo; the zero-fault run never does, since it is the
+    // proof.
+    let identity = SweepSpec::new("fault_identity", coh_cells(cfg, params)).run(|_, cell| {
+        let trace = (cell.app.build)(&cfg);
+        let faulty = simulate_faulty(&trace, cell.scheme, &params, &FaultPlan::none())
             .expect("zero-fault run completes");
-        (app.name, scheme.name(), base == faulty)
+        (cell.app.name, cell.scheme.name(), cell.run() == faulty)
     });
 
     // 2. Drop-rate x backoff-policy sweep on the migratory app.
     // Dedups against the identity sweep's migratory/informing cell above.
-    let trace = migratory(&cfg);
-    let base = memoized_baseline(&trace, Scheme::Informing, &params);
+    let app = app_by_name("migratory").expect("migratory exists");
+    let base = CohCell { app, trace: cfg, scheme: Scheme::Informing, params }.run();
+    let trace = (app.build)(&cfg);
     let cells = cross2(&policies(), &DROP_RATES);
     let sweep = SweepSpec::new("fault_resilience", cells).run(|_, ((name, backoff), rate)| {
         let mut p = params;

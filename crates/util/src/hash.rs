@@ -1,15 +1,18 @@
-//! Streaming FNV-1a 64-bit hashing for structural memo keys.
+//! Hashing helpers: FNV-1a 64 over bytes and over `Debug` renderings, and a
+//! cheap multiply-shift hasher for integer-keyed hot-path maps.
 //!
-//! The sweep memoization layer (`imo-bench::sweep`) keys completed cells by
-//! a structural hash of their inputs. Most inputs render to short `Debug`
-//! strings that go into the key verbatim, but generated parallel traces are
-//! tens of thousands of operations — far too large to embed. [`debug_hash`]
-//! streams a value's `Debug` output through the hasher without ever
-//! materialising the string, so arbitrarily large inputs cost O(1) memory.
+//! [`fnv1a_64`] names and checks the sweep store's entries
+//! ([`crate::store`]). [`debug_hash`] streams a value's `Debug` output
+//! through the hasher without ever materialising the string, so even a
+//! large value costs O(1) memory; its users are the checkpoint
+//! configuration hashes (`imo-cpu`'s `SimSession`, `imo-coherence`'s
+//! `CohSession`), computed only when a run pauses or resumes. Memo keys
+//! do not use it: they name the inputs a program or trace is generated
+//! from, never the generated value.
 //!
-//! FNV-1a is not cryptographic; collisions are tolerable because the memo
-//! map is keyed by the *full* key string (the hash is just a compact stand-in
-//! for one oversized component), and the keyspace per run is tiny.
+//! FNV-1a is not cryptographic. Collisions are tolerable: the store reads
+//! back the full key behind each file name, and a checkpoint's
+//! configuration hash only guards a resume against a mismatched session.
 
 use std::collections::HashMap;
 use std::fmt::{self, Debug, Write};

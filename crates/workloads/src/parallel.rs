@@ -103,9 +103,32 @@ fn scratch_op(p: usize, cursor: u64, is_write: bool, rng: &mut SmallRng) -> Trac
     TraceOp { addr, is_write, shared: true, think: think(rng) }
 }
 
-/// Builds all five applications.
+/// A registered application: its name and the generator of its traces.
+#[derive(Debug, Clone, Copy)]
+pub struct App {
+    /// The name its generator gives the trace ([`ParallelTrace::name`]).
+    pub name: &'static str,
+    /// Builds the application's traces.
+    pub build: fn(&TraceConfig) -> ParallelTrace,
+}
+
+/// The five applications, in Figure 4 order.
+pub const APPS: [App; 5] = [
+    App { name: "stencil", build: stencil },
+    App { name: "migratory", build: migratory },
+    App { name: "producer_consumer", build: producer_consumer },
+    App { name: "reduction", build: reduction },
+    App { name: "readmostly", build: readmostly },
+];
+
+/// Looks an application up by name.
+pub fn app_by_name(name: &str) -> Option<App> {
+    APPS.into_iter().find(|a| a.name == name)
+}
+
+/// Builds all five applications, in [`APPS`] order.
 pub fn all_apps(cfg: &TraceConfig) -> Vec<ParallelTrace> {
-    vec![stencil(cfg), migratory(cfg), producer_consumer(cfg), reduction(cfg), readmostly(cfg)]
+    APPS.iter().map(|a| (a.build)(cfg)).collect()
 }
 
 /// Row-partitioned grid relaxation: each processor sweeps its own rows of a
@@ -335,6 +358,24 @@ mod tests {
                 assert_eq!(t.len(), 1000, "{}", app.name);
             }
         }
+    }
+
+    #[test]
+    fn app_table_names_match_their_traces() {
+        // Memo keys take an app's name from the table, Figure 4 rows from
+        // the generated trace: the two must agree.
+        let small = TraceConfig { procs: 2, ops_per_proc: 16, seed: 1 };
+        for app in APPS {
+            assert_eq!((app.build)(&small).name, app.name);
+            assert_eq!(app_by_name(app.name).map(|a| a.name), Some(app.name));
+        }
+        let names = APPS.map(|a| a.name);
+        assert_eq!(
+            names,
+            ["stencil", "migratory", "producer_consumer", "reduction", "readmostly"],
+            "Figure 4 order, each name once"
+        );
+        assert!(app_by_name("nonesuch").is_none());
     }
 
     #[test]

@@ -8,18 +8,18 @@
 
 use informing_memops::coherence::{simulate, MachineParams, Scheme};
 use informing_memops::util::table::Table;
-use informing_memops::workloads::parallel::{all_apps, TraceConfig};
+use informing_memops::workloads::parallel::{app_by_name, TraceConfig, APPS};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "migratory".to_string());
     let procs: usize = std::env::args().nth(2).map(|s| s.parse()).transpose()?.unwrap_or(16);
 
     let cfg = TraceConfig { procs, ops_per_proc: 12_000, seed: 0x1996 };
-    let app = all_apps(&cfg).into_iter().find(|a| a.name == name).ok_or_else(|| {
-        format!(
-            "unknown app `{name}` (stencil, migratory, producer_consumer, reduction, readmostly)"
-        )
+    let app = app_by_name(&name).ok_or_else(|| {
+        let names: Vec<_> = APPS.iter().map(|a| a.name).collect();
+        format!("unknown app `{name}` ({})", names.join(", "))
     })?;
+    let app = (app.build)(&cfg);
     let params = MachineParams::table2();
 
     println!(

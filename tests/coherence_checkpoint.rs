@@ -19,20 +19,8 @@ use informing_memops::faults::{FaultConfig, FaultPlan};
 use informing_memops::util::json::{parse, Json};
 use informing_memops::util::snapshot::{self, Snapshot};
 use informing_memops::workloads::parallel::{
-    migratory, producer_consumer, readmostly, reduction, stencil, ParallelTrace, TraceConfig,
+    migratory, producer_consumer, ParallelTrace, TraceConfig, APPS,
 };
-
-type AppBuilder = fn(&TraceConfig) -> ParallelTrace;
-
-fn apps() -> [(&'static str, AppBuilder); 5] {
-    [
-        ("stencil", stencil),
-        ("migratory", migratory),
-        ("producer_consumer", producer_consumer),
-        ("reduction", reduction),
-        ("readmostly", readmostly),
-    ]
-}
 
 /// A lossy interconnect: every scheme sees timed-out, retried requests.
 fn stormy_plan(seed: u64) -> FaultPlan {
@@ -68,8 +56,9 @@ fn all_apps_schemes_resume_bit_identically() {
     let params = MachineParams::table2();
     let mut paused = 0u32;
     let mut mid_retry_pauses = 0u32;
-    for (name, build) in apps() {
-        let trace = build(&cfg);
+    for app in APPS {
+        let name = app.name;
+        let trace = (app.build)(&cfg);
         for scheme in [Scheme::Ecc, Scheme::Informing] {
             let plan = stormy_plan(7);
             let full = simulate_faulty(&trace, scheme, &params, &plan)
