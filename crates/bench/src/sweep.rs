@@ -50,11 +50,10 @@
 //! (default `<repo>/.imo-cache`).
 
 use std::any::Any;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 use imo_coherence::{simulate_baseline, MachineParams, Scheme, SimResult};
 use imo_core::experiment::{normalize_experiment, ExperimentResult, Variant};
@@ -70,8 +69,9 @@ use imo_workloads::{by_name, Scale};
 
 use crate::codec::{decode_result, decode_sim_result, result_json, sim_result_json};
 
-/// Process-wide memo cache: structural key → boxed result.
-static MEMO: OnceLock<Mutex<HashMap<String, Box<dyn Any + Send + Sync>>>> = OnceLock::new();
+/// Process-wide memo cache: structural key → boxed result, or the marker of
+/// a key some worker is computing now.
+static MEMO: OnceLock<Memo> = OnceLock::new();
 /// Total [`memoized`]/[`memoized_stored`] calls (cache hits included).
 static MEMO_REQUESTED: AtomicU64 = AtomicU64::new(0);
 /// Distinct keys whose value came from running `compute`.
@@ -123,28 +123,77 @@ pub fn store() -> Option<&'static Store> {
         .as_ref()
 }
 
-fn l1() -> &'static Mutex<HashMap<String, Box<dyn Any + Send + Sync>>> {
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+/// One memo entry.
+enum Slot {
+    /// The finished value.
+    Ready(Box<dyn Any + Send + Sync>),
+    /// A worker holds the [`Claim`] on this key and is computing it.
+    InFlight,
 }
 
-fn l1_get<T: Clone + Send + Sync + 'static>(key: &str) -> Option<T> {
-    l1().lock()
-        .expect("memo lock")
-        .get(key)
-        .map(|hit| hit.downcast_ref::<T>().expect("memo key reused at a different type").clone())
+struct Memo {
+    map: Mutex<HashMap<String, Slot>>,
+    /// Signalled whenever an in-flight key is filled or abandoned.
+    settled: Condvar,
 }
 
-/// Inserts into the L1, counting the key once under `simulated` or
-/// `served_disk` depending on where its value came from. Racing inserts of
-/// the same key count once (first wins), so the stats are
-/// interleaving-invariant.
-fn l1_insert<T: Clone + Send + Sync + 'static>(key: &str, value: &T, from_disk: bool) {
-    match l1().lock().expect("memo lock").entry(key.to_string()) {
-        Entry::Occupied(_) => {}
-        Entry::Vacant(slot) => {
-            slot.insert(Box::new(value.clone()));
-            let counter = if from_disk { &MEMO_SERVED_DISK } else { &MEMO_SIMULATED };
-            counter.fetch_add(1, Ordering::Relaxed);
+fn l1() -> &'static Memo {
+    MEMO.get_or_init(|| Memo { map: Mutex::new(HashMap::new()), settled: Condvar::new() })
+}
+
+/// The right to compute one missed key. Every other request for the key
+/// waits until [`Claim::fill`] publishes the value. A claim dropped
+/// unfilled, because its compute panicked, clears the marker on unwind, and
+/// a waiter claims the key instead of hanging.
+struct Claim<'k> {
+    key: &'k str,
+}
+
+impl Claim<'_> {
+    /// Publishes the value, counting the key once under `simulated` or
+    /// `served_disk` depending on where it came from. Only the claim holder
+    /// inserts a key, so the stats are interleaving-invariant.
+    fn fill<T: Clone + Send + Sync + 'static>(self, value: &T, from_disk: bool) {
+        let mut map = l1().map.lock().expect("memo lock");
+        map.insert(self.key.to_string(), Slot::Ready(Box::new(value.clone())));
+        let counter = if from_disk { &MEMO_SERVED_DISK } else { &MEMO_SIMULATED };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Claim<'_> {
+    /// Clears the in-flight marker if the value was never filled and wakes
+    /// the waiters. It must not panic, since it runs while a panicking
+    /// compute unwinds, so it takes the lock even if a panic poisoned it.
+    fn drop(&mut self) {
+        let memo = l1();
+        let mut map = memo.map.lock().unwrap_or_else(PoisonError::into_inner);
+        if matches!(map.get(self.key), Some(Slot::InFlight)) {
+            map.remove(self.key);
+        }
+        drop(map);
+        memo.settled.notify_all();
+    }
+}
+
+/// Serves `key` from the in-process map, waiting while another worker
+/// computes it, or claims it for the caller to compute.
+fn l1_get<T: Clone + Send + Sync + 'static>(key: &str) -> Result<T, Claim<'_>> {
+    let memo = l1();
+    let mut map = memo.map.lock().expect("memo lock");
+    loop {
+        match map.get(key) {
+            Some(Slot::Ready(hit)) => {
+                return Ok(hit
+                    .downcast_ref::<T>()
+                    .expect("memo key reused at a different type")
+                    .clone())
+            }
+            Some(Slot::InFlight) => map = memo.settled.wait(map).expect("memo lock"),
+            None => {
+                map.insert(key.to_string(), Slot::InFlight);
+                return Err(Claim { key });
+            }
         }
     }
 }
@@ -154,28 +203,32 @@ fn l1_insert<T: Clone + Send + Sync + 'static>(key: &str, value: &T, from_disk: 
 /// [`memoized_stored`] for results worth keeping across runs.
 ///
 /// The value is computed *outside* the cache lock (cells are long
-/// simulations; holding the lock would serialize the pool), so two workers
-/// racing on the same key may both compute — determinism makes their values
-/// identical, and the first to finish populates the cache. The stats
-/// reported by [`memo_stats`] count *unique keys*, which is
-/// interleaving-invariant.
+/// simulations; holding the lock would serialize the pool), but a missed
+/// key is marked in flight first: a second worker that asks for it waits
+/// for the first worker's value instead of computing it again. Keys nest
+/// only from a cell to its baseline (a compute may ask for the key of the
+/// run it is normalized against, never the reverse; today no compute asks
+/// for any key), so a wait cannot form a cycle. The stats reported by
+/// [`memo_stats`] count *unique keys*, which is interleaving-invariant.
 pub fn memoized<T, F>(key: &str, compute: F) -> T
 where
     T: Clone + Send + Sync + 'static,
     F: FnOnce() -> T,
 {
     MEMO_REQUESTED.fetch_add(1, Ordering::Relaxed);
-    if let Some(hit) = l1_get(key) {
-        return hit;
-    }
+    let claim = match l1_get(key) {
+        Ok(hit) => return hit,
+        Err(claim) => claim,
+    };
     let value = compute();
-    l1_insert(key, &value, false);
+    claim.fill(&value, false);
     value
 }
 
 /// [`memoized`] with the on-disk store as the L2: an L1 miss probes the
 /// store before computing, and a computed value is persisted for future
-/// runs.
+/// runs. A key in flight is waited for, as in [`memoized`], so each
+/// distinct key is read from or written to the store once per process.
 ///
 /// `encode`/`decode` are the value's codec (the [`crate::codec`]
 /// `result_json`/`decode_result` pair for `RunResult`, say). A store hit
@@ -190,14 +243,15 @@ where
     D: Fn(&Json) -> Result<T, SnapshotError>,
 {
     MEMO_REQUESTED.fetch_add(1, Ordering::Relaxed);
-    if let Some(hit) = l1_get(key) {
-        return hit;
-    }
+    let claim = match l1_get(key) {
+        Ok(hit) => return hit,
+        Err(claim) => claim,
+    };
     if let Some(store) = store() {
         if let Some(payload) = store.get(key) {
             match decode(&payload) {
                 Ok(value) => {
-                    l1_insert(key, &value, true);
+                    claim.fill(&value, true);
                     return value;
                 }
                 Err(_) => store.reject(key),
@@ -208,7 +262,7 @@ where
     if let Some(store) = store() {
         store.put(key, &encode(&value));
     }
-    l1_insert(key, &value, false);
+    claim.fill(&value, false);
     value
 }
 
@@ -540,6 +594,40 @@ mod tests {
         let after = memo_stats();
         assert!(after.requested >= before.requested + 2);
         assert!(after.simulated > before.simulated);
+    }
+
+    #[test]
+    fn racing_workers_compute_a_missed_key_once() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Barrier;
+        let calls = AtomicU32::new(0);
+        let start = Barrier::new(4);
+        let values: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        memoized("test/memo/single-flight", || {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            7u64
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker")).collect()
+        });
+        assert_eq!(values, [7; 4]);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "waiters take the first worker's value");
+    }
+
+    #[test]
+    fn a_panicking_compute_releases_its_key() {
+        let key = "test/memo/panicking-compute";
+        let panicked = std::panic::catch_unwind(|| memoized(key, || -> u64 { panic!("boom") }));
+        assert!(panicked.is_err());
+        // The key is free again: this request computes instead of waiting.
+        assert_eq!(memoized(key, || 11u64), 11);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! accumulators — are encoded here under the `imo_util::snapshot` wire
 //! discipline so both bodies render identically-shaped, byte-stable JSON.
 
+use imo_isa::Program;
 use imo_mem::{HitLevel, ProbeResult};
 use imo_obs::CpiStack;
 use imo_util::json::Json;
@@ -15,27 +16,22 @@ use crate::frontend::{Fetched, Resolve};
 use crate::result::SlotBreakdown;
 use crate::sched::WakeupQueue;
 
-/// Encodes a fetched instruction. The wire carries only dynamic state; the
-/// decoded `Instr` is re-derived from the program text via the pc.
+/// Encodes an in-flight instruction handle. The wire carries only dynamic
+/// state and the text index; the instruction is read from the program text.
 pub(crate) fn fetched_json(f: &Fetched) -> Json {
-    let (probe_level, probe_line, probe_store) = match f.probe {
-        Some(p) => {
-            let lvl = match p.level {
-                HitLevel::L1 => 0,
-                HitLevel::L2 => 1,
-                HitLevel::Memory => 2,
-            };
-            (Some(lvl), Some(p.line), p.is_store)
-        }
-        None => (None, None, false),
-    };
+    let probe = f.probe();
+    let level = probe.map(|p| match p.level {
+        HitLevel::L1 => 0,
+        HitLevel::L2 => 1,
+        HitLevel::Memory => 2,
+    });
     Json::obj([
         ("seq", snapshot::u64_json(f.seq)),
-        ("pc", snapshot::u64_json(f.pc)),
+        ("idx", snapshot::u64_json(u64::from(f.idx))),
         ("fetch_cycle", snapshot::u64_json(f.fetch_cycle)),
-        ("probe_level", snapshot::opt_u64_json(probe_level)),
-        ("probe_line", snapshot::opt_u64_json(probe_line)),
-        ("probe_store", Json::Bool(probe_store)),
+        ("probe_level", snapshot::opt_u64_json(level)),
+        ("probe_line", snapshot::opt_u64_json(probe.map(|p| p.line))),
+        ("probe_store", Json::Bool(probe.is_some_and(|p| p.is_store))),
         ("informing_trap", Json::Bool(f.informing_trap)),
         (
             "resolve",
@@ -45,18 +41,15 @@ pub(crate) fn fetched_json(f: &Fetched) -> Json {
                 Resolve::AtGraduate => 2,
             }),
         ),
-        ("cc_dep", snapshot::opt_u64_json(f.cc_dep)),
-        ("is_cond_branch", Json::Bool(f.is_cond_branch)),
     ])
 }
 
-/// Decodes a [`fetched_json`] record against the program being resumed.
-pub(crate) fn decode_fetched(
-    program: &imo_isa::Program,
-    j: &Json,
-) -> Result<Fetched, SnapshotError> {
-    let pc = snapshot::get_u64(j, "pc")?;
-    let instr = program.fetch(pc).ok_or(SnapshotError::Bad("pc"))?;
+/// Decodes a [`fetched_json`] record against the program being resumed. The
+/// text index must name an instruction of the program, and the record must
+/// carry a probe exactly when that instruction touches the data cache.
+pub(crate) fn decode_fetched(program: &Program, j: &Json) -> Result<Fetched, SnapshotError> {
+    let idx = u32::try_from(snapshot::get_u64(j, "idx")?).map_err(|_| SnapshotError::Bad("idx"))?;
+    let instr = program.instrs().get(idx as usize).ok_or(SnapshotError::Bad("idx"))?;
     let probe =
         match (snapshot::get_opt_u64(j, "probe_level")?, snapshot::get_opt_u64(j, "probe_line")?) {
             (Some(lvl), Some(line)) => Some(ProbeResult {
@@ -72,22 +65,23 @@ pub(crate) fn decode_fetched(
             (None, None) => None,
             _ => return Err(SnapshotError::Bad("probe_level")),
         };
-    Ok(Fetched {
-        seq: snapshot::get_u64(j, "seq")?,
-        pc,
-        instr,
-        fetch_cycle: snapshot::get_u64(j, "fetch_cycle")?,
+    if probe.is_some() != instr.is_mem() {
+        return Err(SnapshotError::Bad("probe_level"));
+    }
+    let resolve = match snapshot::get_u64(j, "resolve")? {
+        0 => Resolve::None,
+        1 => Resolve::AtExecute,
+        2 => Resolve::AtGraduate,
+        _ => return Err(SnapshotError::Bad("resolve")),
+    };
+    Ok(Fetched::new(
+        snapshot::get_u64(j, "seq")?,
+        idx,
+        snapshot::get_u64(j, "fetch_cycle")?,
         probe,
-        informing_trap: snapshot::get_bool(j, "informing_trap")?,
-        resolve: match snapshot::get_u64(j, "resolve")? {
-            0 => Resolve::None,
-            1 => Resolve::AtExecute,
-            2 => Resolve::AtGraduate,
-            _ => return Err(SnapshotError::Bad("resolve")),
-        },
-        cc_dep: snapshot::get_opt_u64(j, "cc_dep")?,
-        is_cond_branch: snapshot::get_bool(j, "is_cond_branch")?,
-    })
+        snapshot::get_bool(j, "informing_trap")?,
+        resolve,
+    ))
 }
 
 /// Encodes a wakeup queue as three parallel `(due, key, item)` columns in
@@ -174,50 +168,37 @@ mod tests {
     use imo_isa::{Asm, Reg};
 
     #[test]
-    fn fetched_round_trip_rederives_instr() {
+    fn fetched_round_trip_is_exact() {
         let mut a = Asm::new();
         a.li(Reg::int(1), 0x4000);
         a.load(Reg::int(2), Reg::int(1), 0);
         a.halt();
         let p = a.assemble().unwrap();
-        let f = Fetched {
-            seq: 7,
-            pc: imo_isa::Program::addr_of(1),
-            instr: p.fetch(imo_isa::Program::addr_of(1)).unwrap(),
-            fetch_cycle: 42,
-            probe: Some(ProbeResult { level: HitLevel::Memory, line: 0x4000, is_store: false }),
-            informing_trap: true,
-            resolve: Resolve::AtGraduate,
-            cc_dep: Some(6),
-            is_cond_branch: false,
-        };
+        let probe = ProbeResult { level: HitLevel::Memory, line: 0x4000, is_store: false };
+        let f = Fetched::new(7, 1, 42, Some(probe), true, Resolve::AtGraduate);
         let back = decode_fetched(&p, &fetched_json(&f)).unwrap();
-        assert_eq!(back.instr, f.instr);
-        assert_eq!(back.seq, f.seq);
-        assert_eq!(back.probe.unwrap().level, HitLevel::Memory);
-        assert_eq!(back.resolve, Resolve::AtGraduate);
-        assert_eq!(back.cc_dep, Some(6));
+        assert_eq!(back, f);
+        assert_eq!(back.pc(), Program::addr_of(1));
+        assert_eq!(back.probe(), Some(probe));
     }
 
     #[test]
-    fn fetched_decode_rejects_pc_outside_text() {
+    fn fetched_decode_rejects_index_outside_text_and_probe_mismatches() {
         let mut a = Asm::new();
+        a.li(Reg::int(1), 0x4000);
         a.halt();
         let p = a.assemble().unwrap();
-        let mut f = Fetched {
-            seq: 0,
-            pc: imo_isa::Program::addr_of(0),
-            instr: p.fetch(imo_isa::Program::addr_of(0)).unwrap(),
-            fetch_cycle: 0,
-            probe: None,
-            informing_trap: false,
-            resolve: Resolve::None,
-            cc_dep: None,
-            is_cond_branch: false,
-        };
-        f.pc = 0xdead_0000;
-        let j = fetched_json(&f);
-        assert_eq!(decode_fetched(&p, &j).err(), Some(SnapshotError::Bad("pc")));
+        let past_end = Fetched::new(0, 2, 0, None, false, Resolve::None);
+        assert_eq!(
+            decode_fetched(&p, &fetched_json(&past_end)).err(),
+            Some(SnapshotError::Bad("idx"))
+        );
+        let probe = ProbeResult { level: HitLevel::L1, line: 0x4000, is_store: false };
+        let probed_li = Fetched::new(0, 0, 0, Some(probe), false, Resolve::None);
+        assert_eq!(
+            decode_fetched(&p, &fetched_json(&probed_li)).err(),
+            Some(SnapshotError::Bad("probe_level"))
+        );
     }
 
     #[test]

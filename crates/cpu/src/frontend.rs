@@ -10,6 +10,16 @@
 //! misprediction/trap penalty. This "correct-path-with-bubbles" discipline is
 //! what keeps informing-memory outcomes (which are architecturally visible)
 //! deterministic.
+//!
+//! Fetch hands each instruction to the cores as one 32-byte [`Fetched`]
+//! handle, which both cores queue and the out-of-order reorder buffer keeps
+//! until graduation. The handle holds only what fetch learned: the sequence
+//! number, the fetch cycle, the probe outcome, the trap bit and what fetch
+//! waits on. The `pc`, the `Instr` and its `InstrMeta` are static program
+//! text, read by the handle's text index from the `Program` and the
+//! [`BlockCache`]. [`FrontEnd::fetch`] fetches one instruction at a time and
+//! is the tick-accurate reference; [`FrontEnd::fetch_fast`] batches plain
+//! runs from the block cache. Both push into the same queue.
 
 use std::collections::VecDeque;
 
@@ -25,7 +35,7 @@ use crate::predictor::TwoBitPredictor;
 
 /// What (if anything) the front end is waiting on for this instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Resolve {
+pub(crate) enum Resolve {
     /// Fetch continued past this instruction.
     #[default]
     None,
@@ -39,83 +49,64 @@ pub enum Resolve {
     AtGraduate,
 }
 
-/// A fetched, functionally-executed instruction handed to a timing engine.
-#[derive(Debug, Clone, Copy)]
-pub struct Fetched {
+/// One instruction in flight, from fetch to issue (in-order) or graduation
+/// (out-of-order). Static program text is read by `idx`; the handle holds
+/// only the dynamic state, with the probe result packed into `line`,
+/// `level` and `store`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fetched {
     /// Dynamic sequence number (program order).
-    pub seq: u64,
-    /// Instruction address.
-    pub pc: u64,
-    /// The instruction.
-    pub instr: Instr,
+    pub(crate) seq: u64,
     /// Cycle the instruction was fetched.
-    pub fetch_cycle: u64,
-    /// Data-cache probe outcome for loads/stores/prefetches.
-    pub probe: Option<ProbeResult>,
+    pub(crate) fetch_cycle: u64,
+    /// Line the data-cache probe touched (0 without a probe).
+    line: u64,
+    /// Text index: the instruction is `program.instrs()[idx]`.
+    pub(crate) idx: u32,
+    /// Level that served the probe; `None` for instructions that do not
+    /// touch the data cache.
+    level: Option<HitLevel>,
+    /// The probe was a store's.
+    store: bool,
     /// This informing operation missed and trapped to its handler.
-    pub informing_trap: bool,
+    pub(crate) informing_trap: bool,
     /// What the front end is blocked on.
-    pub resolve: Resolve,
-    /// Sequence number of the most recent earlier data reference — the
-    /// producer of the cache-outcome condition code (set for `bmiss`).
-    pub cc_dep: Option<u64>,
-    /// Whether this is a conditional branch that consumed a predictor slot.
-    pub is_cond_branch: bool,
+    pub(crate) resolve: Resolve,
 }
 
-/// A batch of consecutive *plain* instructions (no memory access, no
-/// control transfer) fetched in one cycle: `len` instructions starting at
-/// sequence number `seq`, address `pc`, and block-cache index `idx`. Every
-/// [`Fetched`] field a plain instruction would carry is derivable from
-/// these five words (`probe: None`, `resolve: None`, no trap, no
-/// condition-code dependence), so hot consumers can keep runs compact and
-/// re-materialize full entries only at checkpoint boundaries.
-#[derive(Debug, Clone, Copy)]
-pub struct PlainRun {
-    /// Sequence number of the first instruction in the run.
-    pub seq: u64,
-    /// Address of the first instruction.
-    pub pc: u64,
-    /// Cycle the whole run was fetched.
-    pub fetch_cycle: u64,
-    /// Block-cache (= text) index of the first instruction.
-    pub idx: u32,
-    /// Number of instructions remaining in the run.
-    pub len: u32,
-}
+const _: () = assert!(std::mem::size_of::<Fetched>() <= 40);
 
-/// Destination of [`FrontEnd::fetch_fast`]: either a flat
-/// `VecDeque<Fetched>` (every instruction materialized, as the generic
-/// `fetch` produces) or a split structure that keeps plain runs compact.
-/// Monomorphized, so the flat impl compiles to exactly the previous code.
-pub trait FetchSink {
-    /// `k` plain instructions at `instrs[idx..idx + k]`, sequence numbers
-    /// `seq0..seq0 + k`, first address `pc`, all fetched at `cycle`.
-    fn push_plain(&mut self, instrs: &[Instr], idx: usize, pc: u64, seq0: u64, k: u32, cycle: u64);
-    /// One fully-materialized entry (memory op, control transfer, or any
-    /// other batch-breaking instruction).
-    fn push_full(&mut self, f: Fetched);
-}
-
-impl FetchSink for VecDeque<Fetched> {
-    fn push_plain(&mut self, instrs: &[Instr], idx: usize, pc: u64, seq0: u64, k: u32, cycle: u64) {
-        for i in 0..k as usize {
-            self.push_back(Fetched {
-                seq: seq0 + i as u64,
-                pc: pc + 4 * i as u64,
-                instr: instrs[idx + i],
-                fetch_cycle: cycle,
-                probe: None,
-                informing_trap: false,
-                resolve: Resolve::None,
-                cc_dep: None,
-                is_cond_branch: false,
-            });
+impl Fetched {
+    /// A handle for the instruction at text index `idx`.
+    pub(crate) fn new(
+        seq: u64,
+        idx: u32,
+        fetch_cycle: u64,
+        probe: Option<ProbeResult>,
+        informing_trap: bool,
+        resolve: Resolve,
+    ) -> Fetched {
+        Fetched {
+            seq,
+            fetch_cycle,
+            line: probe.map_or(0, |p| p.line),
+            idx,
+            level: probe.map(|p| p.level),
+            store: probe.is_some_and(|p| p.is_store),
+            informing_trap,
+            resolve,
         }
     }
 
-    fn push_full(&mut self, f: Fetched) {
-        self.push_back(f);
+    /// The instruction's address.
+    pub(crate) fn pc(&self) -> u64 {
+        Program::addr_of(self.idx as usize)
+    }
+
+    /// The data-cache probe outcome of a load, store or prefetch.
+    #[inline]
+    pub(crate) fn probe(&self) -> Option<ProbeResult> {
+        self.level.map(|level| ProbeResult { level, line: self.line, is_store: self.store })
     }
 }
 
@@ -157,7 +148,7 @@ fn reg_bit(r: imo_isa::Reg) -> u64 {
 
 /// The shared fetch engine.
 #[derive(Debug)]
-pub struct FrontEnd<'p> {
+pub(crate) struct FrontEnd<'p> {
     exec: Executor<'p>,
     pred: TwoBitPredictor,
     trap_model: TrapModel,
@@ -171,7 +162,6 @@ pub struct FrontEnd<'p> {
     halted: bool,
     /// Line currently in the fetch buffer (avoids re-probing the I-cache).
     cur_line: Option<u64>,
-    last_mem_seq: Option<u64>,
     mispredictions: u64,
     informing_traps: u64,
     line_bytes: u64,
@@ -179,10 +169,10 @@ pub struct FrontEnd<'p> {
     /// register's most recent writer was a load. Purely observational —
     /// only feeds `ptr_base` on recorded data-access events.
     reg_from_load: u64,
-    /// Pre-decoded block table for the fast fetch path (None = per-
-    /// instruction fetch only). Pure acceleration state — never
-    /// snapshotted.
-    blocks: Option<&'p BlockCache>,
+    /// Pre-decoded block table of the program: text indices for the
+    /// handles, and the plain-run table for [`FrontEnd::fetch_fast`]. Pure
+    /// acceleration state — never snapshotted.
+    blocks: &'p BlockCache,
     /// Speed counters for the fast path (never snapshotted; flushed to the
     /// process-global [`crate::speed`] counters at run end).
     stats: FetchStats,
@@ -192,7 +182,7 @@ pub struct FrontEnd<'p> {
 /// [`crate::speed`] by the cores. Excluded from checkpoints: they describe
 /// how the simulator ran, not what it simulated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FetchStats {
+pub(crate) struct FetchStats {
     /// Fetch-group formations through the fast path.
     pub groups: u64,
     /// Groups fully served from within a single cached basic block.
@@ -205,13 +195,16 @@ pub struct FetchStats {
 }
 
 impl<'p> FrontEnd<'p> {
-    /// Creates a front end positioned at the program's entry.
-    pub fn new(
+    /// Creates a front end positioned at the program's entry. `blocks` must
+    /// have been built from `program`.
+    pub(crate) fn new(
         program: &'p Program,
+        blocks: &'p BlockCache,
         predictor_entries: usize,
         trap_model: TrapModel,
         line_bytes: u64,
     ) -> FrontEnd<'p> {
+        debug_assert_eq!(blocks.len(), program.len());
         FrontEnd {
             exec: Executor::new(program),
             pred: TwoBitPredictor::new(predictor_entries),
@@ -221,26 +214,17 @@ impl<'p> FrontEnd<'p> {
             blocked_trap: false,
             halted: false,
             cur_line: None,
-            last_mem_seq: None,
             mispredictions: 0,
             informing_traps: 0,
             line_bytes,
             reg_from_load: 0,
-            blocks: None,
+            blocks,
             stats: FetchStats::default(),
         }
     }
 
-    /// Attaches a pre-decoded block table, enabling [`FrontEnd::fetch_fast`]
-    /// to batch straight-line hit runs. The cache must have been built from
-    /// the same program this front end executes.
-    pub fn attach_blocks(&mut self, cache: &'p BlockCache) {
-        debug_assert_eq!(cache.len(), self.exec.program().len());
-        self.blocks = Some(cache);
-    }
-
     /// Fast-path fetch counters accumulated so far this run.
-    pub fn stats(&self) -> FetchStats {
+    pub(crate) fn stats(&self) -> FetchStats {
         self.stats
     }
 
@@ -253,48 +237,48 @@ impl<'p> FrontEnd<'p> {
 
     /// Whether `halt` has been fetched (the pipeline may still be draining).
     #[inline]
-    pub fn halted(&self) -> bool {
+    pub(crate) fn halted(&self) -> bool {
         self.halted
     }
 
     /// Consumes the front end, yielding the final architectural state
     /// (registers and data memory after the run).
-    pub fn into_state(self) -> imo_isa::exec::ArchState {
+    pub(crate) fn into_state(self) -> imo_isa::exec::ArchState {
         self.exec.into_state()
     }
 
     /// Mispredicted conditional branches so far.
-    pub fn mispredictions(&self) -> u64 {
+    pub(crate) fn mispredictions(&self) -> u64 {
         self.mispredictions
     }
 
     /// Informing traps (including taken `bmiss`) so far.
-    pub fn informing_traps(&self) -> u64 {
+    pub(crate) fn informing_traps(&self) -> u64 {
         self.informing_traps
     }
 
     /// Conditional-branch prediction accuracy so far.
-    pub fn branch_accuracy(&self) -> f64 {
+    pub(crate) fn branch_accuracy(&self) -> f64 {
         self.pred.accuracy()
     }
 
     /// The sequence number fetch is currently blocked on, if any.
     #[inline]
-    pub fn blocked_on(&self) -> Option<u64> {
+    pub(crate) fn blocked_on(&self) -> Option<u64> {
         self.blocked_on
     }
 
     /// Whether fetch is blocked on an informing-trap resolution (handler
     /// dispatch in flight) rather than a branch mispredict.
     #[inline]
-    pub fn blocked_on_trap(&self) -> bool {
+    pub(crate) fn blocked_on_trap(&self) -> bool {
         self.blocked_on.is_some() && self.blocked_trap
     }
 
     /// Earliest cycle at which fetch can proceed (meaningful when not
     /// blocked on a sequence number).
     #[inline]
-    pub fn resume_at(&self) -> u64 {
+    pub(crate) fn resume_at(&self) -> u64 {
         self.resume_at
     }
 
@@ -302,13 +286,13 @@ impl<'p> FrontEnd<'p> {
     /// guard [`FrontEnd::fetch`] and [`FrontEnd::fetch_fast`] apply on
     /// entry, exposed so hot core loops can skip the call entirely.
     #[inline]
-    pub fn fetch_ready(&self, cycle: u64) -> bool {
+    pub(crate) fn fetch_ready(&self, cycle: u64) -> bool {
         !self.halted && self.blocked_on.is_none() && cycle >= self.resume_at
     }
 
     /// Unblocks fetch: the instruction `seq` resolved at `cycle`. Fetch
     /// restarts `1 + redirect_penalty` cycles later.
-    pub fn resolve(&mut self, seq: u64, cycle: u64, redirect_penalty: u64) {
+    pub(crate) fn resolve(&mut self, seq: u64, cycle: u64, redirect_penalty: u64) {
         if self.blocked_on == Some(seq) {
             self.blocked_on = None;
             self.blocked_trap = false;
@@ -332,7 +316,6 @@ impl<'p> FrontEnd<'p> {
             ("blocked_trap", Json::Bool(self.blocked_trap)),
             ("halted", Json::Bool(self.halted)),
             ("cur_line", snapshot::opt_u64_json(self.cur_line)),
-            ("last_mem_seq", snapshot::opt_u64_json(self.last_mem_seq)),
             ("mispredictions", snapshot::u64_json(self.mispredictions)),
             ("informing_traps", snapshot::u64_json(self.informing_traps)),
             ("reg_from_load", snapshot::u64_json(self.reg_from_load)),
@@ -346,6 +329,7 @@ impl<'p> FrontEnd<'p> {
     /// [`SnapshotError::Bad`].
     pub(crate) fn restore(
         program: &'p Program,
+        blocks: &'p BlockCache,
         predictor_entries: usize,
         trap_model: TrapModel,
         line_bytes: u64,
@@ -373,12 +357,11 @@ impl<'p> FrontEnd<'p> {
             blocked_trap: snapshot::get_bool(data, "blocked_trap")?,
             halted: snapshot::get_bool(data, "halted")?,
             cur_line: snapshot::get_opt_u64(data, "cur_line")?,
-            last_mem_seq: snapshot::get_opt_u64(data, "last_mem_seq")?,
             mispredictions: snapshot::get_u64(data, "mispredictions")?,
             informing_traps: snapshot::get_u64(data, "informing_traps")?,
             line_bytes,
             reg_from_load: snapshot::get_u64(data, "reg_from_load")?,
-            blocks: None,
+            blocks,
             stats: FetchStats::default(),
         })
     }
@@ -395,12 +378,12 @@ impl<'p> FrontEnd<'p> {
     ///
     /// Propagates [`ExecError`] if the architectural path leaves the text
     /// segment (a malformed program).
-    pub fn fetch<O: Observer>(
+    pub(crate) fn fetch<O: Observer>(
         &mut self,
         cycle: u64,
         width: u32,
         hier: &mut MemoryHierarchy,
-        out: &mut Vec<Fetched>,
+        out: &mut VecDeque<Fetched>,
         obs: &mut O,
     ) -> Result<(), ExecError> {
         if !self.fetch_ready(cycle) {
@@ -412,8 +395,9 @@ impl<'p> FrontEnd<'p> {
             if self.cross_line(pc, cycle, hier, obs) {
                 break;
             }
-            let (f, ends_group) = self.fetch_one(pc, cycle, hier, obs)?;
-            out.push(f);
+            let idx = self.blocks.index_of(pc).ok_or(ExecError::InvalidPc(pc))?;
+            let (f, ends_group) = self.fetch_one(pc, idx, cycle, hier, obs)?;
+            out.push_back(f);
             if ends_group {
                 break;
             }
@@ -436,26 +420,18 @@ impl<'p> FrontEnd<'p> {
     ///
     /// Propagates [`ExecError`] if the architectural path leaves the text
     /// segment (a malformed program).
-    pub fn fetch_fast<S: FetchSink, O: Observer>(
+    pub(crate) fn fetch_fast<O: Observer>(
         &mut self,
         cycle: u64,
         width: u32,
         hier: &mut MemoryHierarchy,
-        out: &mut S,
+        out: &mut VecDeque<Fetched>,
         obs: &mut O,
     ) -> Result<(), ExecError> {
-        let Some(cache) = self.blocks else {
-            // No block cache attached: take the generic path (cold).
-            let mut buf = Vec::with_capacity(width as usize);
-            self.fetch(cycle, width, hier, &mut buf, obs)?;
-            for f in buf {
-                out.push_full(f);
-            }
-            return Ok(());
-        };
         if !self.fetch_ready(cycle) {
             return Ok(());
         }
+        let cache = self.blocks;
         self.resume_at = cycle; // any older redirect target is now stale
         self.stats.groups += 1;
         let start_block = cache.index_of(self.exec.state().pc()).map(|i| cache.block_index(i));
@@ -492,21 +468,23 @@ impl<'p> FrontEnd<'p> {
                     written |= b;
                 }
                 self.reg_from_load &= !written;
-                if O::ON {
-                    for i in 0..u64::from(k) {
-                        obs.record(cycle, EventKind::Fetch { seq: seq0 + i, pc: pc + 4 * i });
+                for i in 0..k {
+                    let seq = seq0 + u64::from(i);
+                    if O::ON {
+                        obs.record(cycle, EventKind::Fetch { seq, pc: pc + 4 * u64::from(i) });
                     }
+                    let f = Fetched::new(seq, idx as u32 + i, cycle, None, false, Resolve::None);
+                    out.push_back(f);
                 }
-                out.push_plain(self.exec.program().instrs(), idx, pc, seq0, k, cycle);
                 same_block &= Some(cache.block_index(idx + k as usize - 1)) == start_block;
                 self.stats.plain_instrs += u64::from(k);
                 fetched += k;
                 continue;
             }
 
-            let (f, ends_group) = self.fetch_one(pc, cycle, hier, obs)?;
+            let (f, ends_group) = self.fetch_one(pc, idx, cycle, hier, obs)?;
             fetched += 1;
-            out.push_full(f);
+            out.push_back(f);
             if ends_group {
                 break;
             }
@@ -548,14 +526,15 @@ impl<'p> FrontEnd<'p> {
         false
     }
 
-    /// Fetches and functionally executes the one instruction at `pc`:
-    /// probe, pointer-chase provenance, predictor and trap dispatch, with
-    /// their events. Returns the entry and whether it ends the
-    /// fetch group.
+    /// Fetches and functionally executes the one instruction at `pc`, text
+    /// index `idx`: probe, pointer-chase provenance, predictor and trap
+    /// dispatch, with their events. Returns the handle and whether it ends
+    /// the fetch group.
     #[inline(always)]
     fn fetch_one<O: Observer>(
         &mut self,
         pc: u64,
+        idx: usize,
         cycle: u64,
         hier: &mut MemoryHierarchy,
         obs: &mut O,
@@ -585,23 +564,7 @@ impl<'p> FrontEnd<'p> {
             }
         }
 
-        let mut f = Fetched {
-            seq,
-            pc,
-            instr: info.instr,
-            fetch_cycle: cycle,
-            probe,
-            informing_trap: false,
-            resolve: Resolve::None,
-            cc_dep: None,
-            is_cond_branch: matches!(info.instr, Instr::Branch { .. }),
-        };
-        if matches!(info.instr, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }) {
-            f.cc_dep = self.last_mem_seq;
-        }
-        if info.instr.is_data_ref() {
-            self.last_mem_seq = Some(seq);
-        }
+        let mut f = Fetched::new(seq, idx as u32, cycle, probe, false, Resolve::None);
         obs.record(cycle, EventKind::Fetch { seq, pc });
         if let Some(p) = probe {
             obs.record(
@@ -627,7 +590,8 @@ impl<'p> FrontEnd<'p> {
             ControlFlow::NotTaken => {
                 // Only a conditional branch can mispredict here: a bmiss on
                 // a hit is statically predicted not-taken, which is correct.
-                let mispredicted = f.is_cond_branch && self.pred.predict_and_update(pc, false);
+                let mispredicted = matches!(info.instr, Instr::Branch { .. })
+                    && self.pred.predict_and_update(pc, false);
                 if mispredicted {
                     // Predicted taken, actually fell through.
                     self.mispredictions += 1;
@@ -696,8 +660,17 @@ mod tests {
         MemoryHierarchy::new(HierarchyConfig::out_of_order())
     }
 
-    fn fe(p: &Program) -> FrontEnd<'_> {
-        FrontEnd::new(p, 256, TrapModel::Branch, 32)
+    fn cache(p: &Program) -> BlockCache {
+        BlockCache::build(p, |_| 1)
+    }
+
+    fn fe<'p>(p: &'p Program, c: &'p BlockCache) -> FrontEnd<'p> {
+        FrontEnd::new(p, c, 256, TrapModel::Branch, 32)
+    }
+
+    /// The instruction a handle names.
+    fn instr(p: &Program, f: &Fetched) -> Instr {
+        p.instrs()[f.idx as usize]
     }
 
     fn straight_line() -> Program {
@@ -712,9 +685,10 @@ mod tests {
     #[test]
     fn fetches_up_to_width() {
         let p = straight_line();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         // Cycle 0: the first line misses in the I-cache -> nothing fetched.
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert!(out.is_empty(), "cold I-miss blocks fetch");
@@ -738,9 +712,10 @@ mod tests {
         }
         a.halt();
         let p = a.assemble().unwrap();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         let mut cycle = 0;
         let mut stall_events = 0;
         while !f.halted() && cycle < 10_000 {
@@ -767,9 +742,10 @@ mod tests {
         a.bind(t).unwrap();
         a.halt();
         let p = a.assemble().unwrap();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
         f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
@@ -777,7 +753,7 @@ mod tests {
         out.clear();
         f.fetch(resume + 1, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].instr, Instr::Halt);
+        assert_eq!(instr(&p, &out[0]), Instr::Halt);
     }
 
     #[test]
@@ -792,9 +768,10 @@ mod tests {
         a.bind(t).unwrap();
         a.halt();
         let p = a.assemble().unwrap();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
         f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
@@ -815,7 +792,7 @@ mod tests {
         assert!(out.is_empty());
         f.fetch(resume + 22, 4, &mut h, &mut out, &mut NoObs).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].instr, Instr::Halt);
+        assert_eq!(instr(&p, &out[0]), Instr::Halt);
     }
 
     #[test]
@@ -830,9 +807,10 @@ mod tests {
         a.addi(Reg::int(10), Reg::int(10), 1);
         a.jump_mhrr();
         let p = a.assemble().unwrap();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
         f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
@@ -845,7 +823,8 @@ mod tests {
         out.clear();
         f.fetch(resume + 32, 4, &mut h, &mut out, &mut NoObs).unwrap();
         // Handler instructions are the correct path after the trap.
-        assert!(matches!(out[0].instr, Instr::Addi { .. }), "handler fetched: {:?}", out[0].instr);
+        let first = instr(&p, &out[0]);
+        assert!(matches!(first, Instr::Addi { .. }), "handler fetched: {first:?}");
     }
 
     #[test]
@@ -859,9 +838,10 @@ mod tests {
         a.bind(hdl).unwrap();
         a.jump_mhrr();
         let p = a.assemble().unwrap();
-        let mut f = FrontEnd::new(&p, 256, TrapModel::Exception, 32);
+        let c = cache(&p);
+        let mut f = FrontEnd::new(&p, &c, 256, TrapModel::Exception, 32);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
         f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
@@ -870,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn bmiss_records_cc_dependence() {
+    fn taken_bmiss_blocks_fetch_as_a_trap() {
         let mut a = Asm::new();
         let hdl = a.label("h");
         a.li(Reg::int(1), 0x4000);
@@ -880,21 +860,22 @@ mod tests {
         a.bind(hdl).unwrap();
         a.jump_mhrr();
         let p = a.assemble().unwrap();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
         f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let bm = out
             .iter()
-            .find(|x| matches!(x.instr, Instr::BranchOnMiss { .. }))
+            .find(|x| matches!(instr(&p, x), Instr::BranchOnMiss { .. }))
             .expect("bmiss fetched");
-        let ld = out.iter().find(|x| matches!(x.instr, Instr::Load { .. })).expect("load fetched");
-        assert_eq!(bm.cc_dep, Some(ld.seq));
         // The load cold-missed, so the bmiss is taken -> trap counted, blocked.
         assert_eq!(f.informing_traps(), 1);
         assert_eq!(bm.resolve, Resolve::AtExecute);
+        assert_eq!(f.blocked_on(), Some(bm.seq));
+        assert!(f.blocked_on_trap());
     }
 
     #[test]
@@ -911,9 +892,10 @@ mod tests {
         a.load(Reg::int(3), Reg::int(2), 0);
         a.halt();
         let p = a.assemble().unwrap();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
         f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
@@ -922,13 +904,14 @@ mod tests {
         let frag = f.encode();
         let text = frag.pretty();
         let parsed = imo_util::json::parse(&text).expect("parses");
-        let mut g = FrontEnd::restore(&p, 256, TrapModel::Branch, 32, &parsed).expect("restores");
+        let mut g =
+            FrontEnd::restore(&p, &c, 256, TrapModel::Branch, 32, &parsed).expect("restores");
         assert_eq!(g.blocked_on(), Some(bseq));
         assert_eq!(g.mispredictions(), f.mispredictions());
         assert_eq!(g.encode().pretty(), text, "re-encode is byte-stable");
 
         let mut h2 = MemoryHierarchy::from_wire(&h.to_wire()).expect("hier restores");
-        let (mut out_f, mut out_g) = (Vec::new(), Vec::new());
+        let (mut out_f, mut out_g) = (VecDeque::new(), VecDeque::new());
         f.resolve(bseq, resume + 10, 1);
         g.resolve(bseq, resume + 10, 1);
         for cycle in resume + 11..resume + 40 {
@@ -938,10 +921,7 @@ mod tests {
         assert!(f.halted() && g.halted());
         assert_eq!(out_f.len(), out_g.len());
         for (x, y) in out_f.iter().zip(&out_g) {
-            assert_eq!(
-                (x.seq, x.pc, x.fetch_cycle, x.resolve),
-                (y.seq, y.pc, y.fetch_cycle, y.resolve)
-            );
+            assert_eq!(x, y);
         }
     }
 
@@ -952,14 +932,16 @@ mod tests {
         a.load(Reg::int(2), Reg::int(1), 0);
         a.halt();
         let p = a.assemble().unwrap();
-        let mut f = fe(&p);
+        let c = cache(&p);
+        let mut f = fe(&p, &c);
         let mut h = hier();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         f.fetch(0, 4, &mut h, &mut out, &mut NoObs).unwrap();
         let resume = f.resume_at();
         f.fetch(resume, 4, &mut h, &mut out, &mut NoObs).unwrap();
-        let ld = out.iter().find(|x| x.instr.is_data_ref()).unwrap();
-        let probe = ld.probe.expect("probe recorded");
+        let ld = out.iter().find(|x| instr(&p, x).is_data_ref()).unwrap();
+        assert_eq!(ld.pc(), Program::addr_of(1));
+        let probe = ld.probe().expect("probe recorded");
         assert!(probe.level.is_l1_miss());
         assert!(!ld.informing_trap, "normal load never traps");
     }

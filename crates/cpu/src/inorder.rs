@@ -17,6 +17,13 @@
 //! stores, as on the real 21164), 2 FP units and 1 branch unit, and issue is
 //! strictly in order: the window stalls at the first instruction that cannot
 //! issue.
+//!
+//! Fetch fills one queue of [`Fetched`] handles in both modes, and `run`
+//! has two loop bodies over it. The event-driven loop fetches plain runs in
+//! batches and schedules from the pre-decoded [`InstrMeta`] table. The
+//! tick-accurate loop fetches one instruction at a time and decodes each
+//! queued `Instr` for its unit, sources and latency, so comparing the two
+//! (`tests/fastforward_identity.rs`) also checks the pre-decoded table.
 
 use std::collections::VecDeque;
 
@@ -29,7 +36,7 @@ use imo_util::snapshot::{self, Snapshot as _, SnapshotError};
 use crate::ckpt;
 use crate::config::InOrderConfig;
 use crate::config::TrapModel;
-use crate::frontend::{FetchSink, Fetched, FrontEnd, PlainRun, Resolve};
+use crate::frontend::{Fetched, FrontEnd, Resolve};
 use crate::result::{MemCounters, RunLimits, RunOutcome, RunResult, SimError, SlotBreakdown};
 use crate::sched::{Horizon, WakeupQueue};
 
@@ -95,77 +102,6 @@ fn window_segments(
         };
         Some((lo - start, to_mem.is_some(), to_mem.unwrap_or(false)))
     })
-}
-
-/// The fast path's split fetch queue: batch-fetched plain instructions stay
-/// as compact [`PlainRun`] descriptors while batch-breaking instructions
-/// (memory ops, control transfers, informing traps) are materialized in
-/// full. Both deques are individually sequence-ordered, so the true queue
-/// head is whichever front carries the lower sequence number. `total`
-/// tracks the summed pending-instruction count so the fetch gate sees the
-/// same queue depth as the generic path.
-struct FastQueue {
-    runs: VecDeque<PlainRun>,
-    full: VecDeque<Fetched>,
-    total: usize,
-}
-
-impl FastQueue {
-    fn from_restored(full: VecDeque<Fetched>) -> FastQueue {
-        let total = full.len();
-        FastQueue { runs: VecDeque::with_capacity(8), full, total }
-    }
-
-    /// Re-materializes the interleaved `VecDeque<Fetched>` the generic loop
-    /// would hold at this boundary, for checkpoint encoding. Plain entries
-    /// are fully derivable from their run descriptor plus the program text
-    /// (no probe, no resolve, no trap, no condition-code dependence).
-    fn materialize(&self, instrs: &[Instr]) -> VecDeque<Fetched> {
-        let mut out = VecDeque::with_capacity(self.total);
-        let mut runs = self.runs.iter().peekable();
-        let mut full = self.full.iter().peekable();
-        loop {
-            let take_run = match (runs.peek(), full.peek()) {
-                (Some(r), Some(f)) => r.seq < f.seq,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_run {
-                let r = runs.next().expect("peeked");
-                out.push_plain(instrs, r.idx as usize, r.pc, r.seq, r.len, r.fetch_cycle);
-            } else {
-                out.push_back(*full.next().expect("peeked"));
-            }
-        }
-        out
-    }
-}
-
-impl FetchSink for FastQueue {
-    fn push_plain(
-        &mut self,
-        _instrs: &[Instr],
-        idx: usize,
-        pc: u64,
-        seq0: u64,
-        k: u32,
-        cycle: u64,
-    ) {
-        self.runs.push_back(PlainRun {
-            seq: seq0,
-            pc,
-            fetch_cycle: cycle,
-            idx: idx as u32,
-            len: k,
-        });
-        self.total += k as usize;
-    }
-
-    fn push_full(&mut self, f: Fetched) {
-        self.full.push_back(f);
-        self.total += 1;
-    }
 }
 
 /// Encodes every `run`-loop local at a cycle boundary (the checkpoint body).
@@ -281,6 +217,8 @@ fn run_with<O: Observer>(
     // The in-order machine's informing traps always redirect at miss
     // detection (replay-trap style); the trap model distinction is an
     // out-of-order concern, so fix `Branch` here.
+    let cache = BlockCache::build(program, |i| cfg.latency(i));
+    let instrs = program.instrs();
     let mut hier;
     let mut fe;
     let mut regs;
@@ -297,6 +235,7 @@ fn run_with<O: Observer>(
         hier = MemoryHierarchy::from_wire(snapshot::field(body, "hier")?)?;
         fe = FrontEnd::restore(
             program,
+            &cache,
             cfg.predictor_entries,
             TrapModel::Branch,
             cfg.hier.l1i.line_bytes,
@@ -322,12 +261,15 @@ fn run_with<O: Observer>(
         hier = MemoryHierarchy::new(cfg.hier);
         fe = FrontEnd::new(
             program,
+            &cache,
             cfg.predictor_entries,
             TrapModel::Branch,
             cfg.hier.l1i.line_bytes,
         );
         regs = [RegState::default(); 64];
-        queue = VecDeque::with_capacity(2 * cfg.issue_width as usize);
+        // Fetch runs below `2 × issue_width` queued and adds at most
+        // `issue_width`.
+        queue = VecDeque::with_capacity(3 * cfg.issue_width as usize);
         // At most one pending redirect resolution per queued instruction.
         resolve_q = WakeupQueue::with_capacity(2 * cfg.issue_width as usize);
         last_mem_outcome = 0;
@@ -336,7 +278,6 @@ fn run_with<O: Observer>(
         slots = SlotBreakdown::default();
         cpi = CpiStack::default();
     }
-    let mut fetch_buf: Vec<Fetched> = Vec::with_capacity(cfg.issue_width as usize);
 
     let width = cfg.issue_width as u64;
     let mut done = false;
@@ -348,10 +289,7 @@ fn run_with<O: Observer>(
     // parameter, so an unobserved run compiles its hooks out. Tick-accurate
     // runs keep the generic body below as the bit-identity reference
     // (`tests/fastforward_identity.rs` compares the two).
-    let fast = !limits.force_tick_accurate;
-    let cache = fast.then(|| BlockCache::build(program, |i| cfg.latency(i)));
-    if let Some(cache) = &cache {
-        fe.attach_blocks(cache);
+    if !limits.force_tick_accurate {
         // Invariant: bit i set ⇔ regs[i].miss_pending (rebuilt on resume).
         let mut pending_mask: u64 = 0;
         for (i, r) in regs.iter().enumerate() {
@@ -359,26 +297,6 @@ fn run_with<O: Observer>(
                 pending_mask |= 1 << i;
             }
         }
-        // Restored entries (if any) enter fully materialized; new fetches
-        // keep plain runs compact. The generic loop below never runs once
-        // the fast loop is engaged (its only normal exit sets `done`), so
-        // taking `queue` is safe.
-        let mut fq = FastQueue::from_restored(std::mem::take(&mut queue));
-        // Memoized head-entry metadata: the issue loop polls the same queue
-        // head ~2× on average before it issues (stall cycles re-poll it), so
-        // the pc→meta table lookup is cached keyed by sequence number.
-        let mut head_meta: (u64, InstrMeta) = (
-            u64::MAX,
-            InstrMeta {
-                src1: NO_REG,
-                src2: NO_REG,
-                dest: NO_REG,
-                fu: 0,
-                kind: 0,
-                flags: 0,
-                lat: 0,
-            },
-        );
         // Parked head: `(seq, wake)` of the head whose last readiness poll
         // failed, and the cycle its sources become ready. Sequence numbers
         // never repeat, so a stale entry can never match a later head.
@@ -390,14 +308,13 @@ fn run_with<O: Observer>(
         while !done {
             if now >= stop_gate {
                 crate::speed::flush(fe.stats());
-                let q = fq.materialize(program.instrs());
                 return Ok(RunOutcome::Paused {
                     cycle: now,
                     body: encode_loop(
                         &hier,
                         &fe,
                         &regs,
-                        &q,
+                        &queue,
                         &resolve_q,
                         last_mem_outcome,
                         now,
@@ -434,110 +351,21 @@ fn run_with<O: Observer>(
                 let mut stall_srcs: [u8; 2] = [NO_REG, NO_REG];
 
                 while issued < width {
-                    // The true head is whichever queue front has the lower
-                    // sequence number (both deques are seq-ordered).
-                    let plain_head = match (fq.runs.front(), fq.full.front()) {
-                        (Some(r), Some(f)) if r.seq > f.seq => None,
-                        (Some(r), _) => Some(*r),
-                        (None, Some(_)) => None,
-                        (None, None) => break,
-                    };
-                    if let Some(r) = plain_head {
-                        // Plain head: never a memory op, branch, informing op
-                        // or halt — no probe, no resolve, no `bmiss` wait.
-                        //
-                        // If this head's previous poll parked the issue loop at
-                        // cycle `T` with wake-up `R` (recorded in
-                        // `pending_issue`), nothing can have changed while it
-                        // was parked: issue is strictly in order, so no
-                        // register was written and no memory op issued. A
-                        // first-slot re-poll at `now >= R` therefore passes the
-                        // depth, unit (all counters zero) and readiness checks
-                        // by construction and goes straight to the issue arm.
-                        let skip =
-                            issued == 0 && r.seq == pending_issue.0 && now >= pending_issue.1;
-                        if !skip && r.fetch_cycle + cfg.frontend_depth > now {
-                            next_wakeup = next_wakeup.min(r.fetch_cycle + cfg.frontend_depth);
-                            break;
-                        }
-                        let m = cache.meta_idx(r.idx as usize);
-                        debug_assert!(m.is_plain());
-                        if !skip {
-                            let fu_ok = match m.fu {
-                                0 | 3 => int_used < cfg.int_units,
-                                1 => fp_used < cfg.fp_units,
-                                _ => br_used < cfg.branch_units,
-                            };
-                            if !fu_ok {
-                                break;
-                            }
-                            let mut ready_at: u64 = 0;
-                            for s in [m.src1, m.src2] {
-                                if s == NO_REG {
-                                    continue;
-                                }
-                                let rs = &regs[s as usize];
-                                ready_at = ready_at.max(rs.ready).max(rs.replay_floor);
-                                if rs.ready > now && rs.miss_pending {
-                                    blocked_on_miss = true;
-                                    if O::ON {
-                                        blocked_miss_to_mem = rs.miss_to_mem;
-                                    }
-                                }
-                            }
-                            if ready_at > now {
-                                next_wakeup = next_wakeup.min(ready_at);
-                                stall_srcs = [m.src1, m.src2];
-                                pending_issue = (r.seq, ready_at);
-                                break;
-                            }
-                            blocked_on_miss = false; // it issued after all
-                            blocked_miss_to_mem = false;
-                        }
-                        obs.record(now, EventKind::Issue { seq: r.seq });
-                        match m.fu {
-                            0 | 3 => int_used += 1,
-                            1 => fp_used += 1,
-                            _ => br_used += 1,
-                        }
-                        if m.dest != NO_REG {
-                            regs[m.dest as usize] = RegState {
-                                ready: now + u64::from(m.lat),
-                                replay_floor: 0,
-                                miss_pending: false,
-                                miss_to_mem: false,
-                            };
-                            pending_mask &= !(1 << m.dest);
-                        }
-                        // Advance the run in place; drop it once drained.
-                        let head = fq.runs.front_mut().expect("plain head exists");
-                        head.seq += 1;
-                        head.pc += 4;
-                        head.idx += 1;
-                        head.len -= 1;
-                        if head.len == 0 {
-                            fq.runs.pop_front();
-                        }
-                        fq.total -= 1;
-                        issued += 1;
-                        issued_total += 1;
-                        progress = true;
-                        continue;
-                    }
-                    let f = fq.full.front().expect("full head exists");
-                    // Same parked-head shortcut as the plain path above.
+                    let Some(f) = queue.front() else { break };
+                    // If this head's previous poll parked the issue loop at
+                    // cycle `T` with wake-up `R` (recorded in
+                    // `pending_issue`), nothing can have changed while it
+                    // was parked: issue is strictly in order, so no register
+                    // was written and no memory op issued. A first-slot
+                    // re-poll at `now >= R` therefore passes the depth, unit
+                    // (all counters zero) and readiness checks by
+                    // construction and goes straight to the issue arm.
                     let skip = issued == 0 && f.seq == pending_issue.0 && now >= pending_issue.1;
                     if !skip && f.fetch_cycle + cfg.frontend_depth > now {
                         next_wakeup = next_wakeup.min(f.fetch_cycle + cfg.frontend_depth);
                         break;
                     }
-                    let m = if head_meta.0 == f.seq {
-                        head_meta.1
-                    } else {
-                        let m = *cache.meta_at(f.pc).expect("queued pc is in text");
-                        head_meta = (f.seq, m);
-                        m
-                    };
+                    let m = *cache.meta_idx(f.idx as usize);
                     if !skip {
                         let fu_ok = match m.fu {
                             0 | 3 => int_used < cfg.int_units,
@@ -574,17 +402,12 @@ fn run_with<O: Observer>(
                         blocked_miss_to_mem = false;
                     }
 
-                    // Copy out the fields the issue arms need, then drop the
-                    // entry in place — popping the full ~96-byte `Fetched` by
-                    // value would memcpy it for nothing.
-                    let (seq, probe, resolve) = (f.seq, f.probe, f.resolve);
-                    let (trap, fetch_cycle) = (f.informing_trap, f.fetch_cycle);
+                    let f = queue.pop_front().expect("front exists");
+                    let seq = f.seq;
                     obs.record(now, EventKind::Issue { seq });
-                    if matches!(f.instr, Instr::JumpMhrr) {
+                    if O::ON && matches!(instrs[f.idx as usize], Instr::JumpMhrr) {
                         obs.record(now, EventKind::TrapReturn { seq });
                     }
-                    let _ = fq.full.pop_front();
-                    fq.total -= 1;
                     match m.fu {
                         0 | 3 => int_used += 1,
                         1 => fp_used += 1,
@@ -594,7 +417,7 @@ fn run_with<O: Observer>(
                     let mut outcome_cycle = now + 1;
                     match m.kind {
                         InstrMeta::KIND_LOAD => {
-                            let probe = probe.expect("loads probe");
+                            let probe = f.probe().expect("loads probe");
                             let t = hier.schedule_data(probe, now);
                             outcome_cycle = t.start + cfg.hier.l1_latency;
                             last_mem_outcome = outcome_cycle;
@@ -619,13 +442,13 @@ fn run_with<O: Observer>(
                             }
                         }
                         InstrMeta::KIND_STORE => {
-                            let probe = probe.expect("stores probe");
+                            let probe = f.probe().expect("stores probe");
                             let t = hier.schedule_data(probe, now);
                             outcome_cycle = t.start + cfg.hier.l1_latency;
                             last_mem_outcome = outcome_cycle;
                         }
                         InstrMeta::KIND_PREFETCH => {
-                            if let Some(probe) = probe {
+                            if let Some(probe) = f.probe() {
                                 let _ = hier.schedule_data(probe, now);
                             }
                         }
@@ -645,7 +468,7 @@ fn run_with<O: Observer>(
                         }
                     }
 
-                    match resolve {
+                    match f.resolve {
                         Resolve::None => {}
                         Resolve::AtExecute | Resolve::AtGraduate => {
                             let due = if m.flags & InstrMeta::DATA_REF != 0 {
@@ -653,10 +476,10 @@ fn run_with<O: Observer>(
                             } else {
                                 now
                             };
-                            if trap {
+                            if f.informing_trap {
                                 obs.observe(
                                     "cpu.trap_redirect",
-                                    due.max(now).saturating_sub(fetch_cycle),
+                                    due.max(now).saturating_sub(f.fetch_cycle),
                                 );
                             }
                             if due <= now {
@@ -716,10 +539,10 @@ fn run_with<O: Observer>(
                 }
 
                 // ---- Fetch (block-batched) ----
-                if fq.total < 2 * cfg.issue_width as usize && fe.fetch_ready(now) {
-                    let before = fq.total;
-                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fq, obs)?;
-                    if fq.total > before {
+                if queue.len() < 2 * cfg.issue_width as usize && fe.fetch_ready(now) {
+                    let before = queue.len();
+                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut queue, obs)?;
+                    if queue.len() > before {
                         progress = true;
                     }
                 }
@@ -835,8 +658,11 @@ fn run_with<O: Observer>(
                 next_wakeup = next_wakeup.min(f.fetch_cycle + cfg.frontend_depth);
                 break;
             }
+            // The reference decodes the `Instr` itself rather than reading
+            // the pre-decoded `InstrMeta` the fast loop schedules from.
+            let instr = &instrs[f.idx as usize];
             // Structural: FU availability (loads/stores share INT pipes).
-            let fu_ok = match f.instr.fu_class() {
+            let fu_ok = match instr.fu_class() {
                 FuClass::Int | FuClass::Mem => int_used < cfg.int_units,
                 FuClass::Fp => fp_used < cfg.fp_units,
                 FuClass::Branch => br_used < cfg.branch_units,
@@ -847,7 +673,7 @@ fn run_with<O: Observer>(
             // Presence bits: all sources ready; missed-load producers impose
             // the replay-trap restart floor.
             let mut ready_at: u64 = 0;
-            for src in f.instr.sources() {
+            for src in instr.sources() {
                 let r = &regs[src.logical()];
                 ready_at = ready_at.max(r.ready).max(r.replay_floor);
                 if r.ready > now && r.miss_pending {
@@ -855,7 +681,7 @@ fn run_with<O: Observer>(
                     blocked_miss_to_mem = r.miss_to_mem;
                 }
             }
-            if matches!(f.instr, Instr::BranchOnMiss { .. }) {
+            if matches!(instr, Instr::BranchOnMiss { .. }) {
                 ready_at = ready_at.max(last_mem_outcome);
             }
             if ready_at > now {
@@ -867,10 +693,10 @@ fn run_with<O: Observer>(
 
             let f = queue.pop_front().expect("front exists");
             obs.record(now, EventKind::Issue { seq: f.seq });
-            if matches!(f.instr, Instr::JumpMhrr) {
+            if matches!(instr, Instr::JumpMhrr) {
                 obs.record(now, EventKind::TrapReturn { seq: f.seq });
             }
-            match f.instr.fu_class() {
+            match instr.fu_class() {
                 FuClass::Int | FuClass::Mem => int_used += 1,
                 FuClass::Fp => fp_used += 1,
                 FuClass::Branch => br_used += 1,
@@ -878,14 +704,14 @@ fn run_with<O: Observer>(
 
             // Execute in the timing model.
             let mut outcome_cycle = now + 1;
-            match f.instr {
+            match instr {
                 Instr::Load { .. } => {
-                    let probe = f.probe.expect("loads probe");
+                    let probe = f.probe().expect("loads probe");
                     let t = hier.schedule_data(probe, now);
                     outcome_cycle = t.start + cfg.hier.l1_latency;
                     last_mem_outcome = outcome_cycle;
                     obs.observe("cpu.load_to_use", t.complete.saturating_sub(now));
-                    if let Some(dst) = f.instr.dest() {
+                    if let Some(dst) = instr.dest() {
                         let miss = probe.level.is_l1_miss();
                         regs[dst.logical()] = RegState {
                             ready: t.complete,
@@ -900,22 +726,22 @@ fn run_with<O: Observer>(
                     }
                 }
                 Instr::Store { .. } => {
-                    let probe = f.probe.expect("stores probe");
+                    let probe = f.probe().expect("stores probe");
                     let t = hier.schedule_data(probe, now);
                     outcome_cycle = t.start + cfg.hier.l1_latency;
                     last_mem_outcome = outcome_cycle;
                 }
                 Instr::Prefetch { .. } => {
-                    if let Some(probe) = f.probe {
+                    if let Some(probe) = f.probe() {
                         let _ = hier.schedule_data(probe, now);
                     }
                 }
                 Instr::Halt => {
                     done = true;
                 }
-                ref other => {
+                other => {
                     let lat = cfg.latency(other);
-                    if let Some(dst) = f.instr.dest() {
+                    if let Some(dst) = other.dest() {
                         regs[dst.logical()] = RegState {
                             ready: now + lat,
                             replay_floor: 0,
@@ -931,7 +757,7 @@ fn run_with<O: Observer>(
             match f.resolve {
                 Resolve::None => {}
                 Resolve::AtExecute | Resolve::AtGraduate => {
-                    let due = if f.instr.is_data_ref() { outcome_cycle } else { now };
+                    let due = if instr.is_data_ref() { outcome_cycle } else { now };
                     if f.informing_trap {
                         obs.observe(
                             "cpu.trap_redirect",
@@ -989,9 +815,7 @@ fn run_with<O: Observer>(
         // ---- Fetch ----
         if queue.len() < 2 * cfg.issue_width as usize {
             let before = queue.len();
-            fetch_buf.clear();
-            fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_buf, obs)?;
-            queue.extend(fetch_buf.drain(..));
+            fe.fetch(now, cfg.issue_width, &mut hier, &mut queue, obs)?;
             if queue.len() > before {
                 progress = true;
             }

@@ -13,7 +13,7 @@
 //!   graduation, and the §3.3 MSHR-lifetime extension for speculative
 //!   informing loads.
 //!
-//! Both models share a front end ([`frontend`]) with a 2-bit-counter branch
+//! Both models share a front end with a 2-bit-counter branch
 //! predictor, instruction-cache modelling, and the *correct-path-with-
 //! bubbles* fetch discipline: instructions are executed functionally in
 //! program order (so informing hit/miss outcomes are deterministic and the
@@ -61,7 +61,7 @@
 
 mod ckpt;
 pub mod config;
-pub mod frontend;
+mod frontend;
 pub mod inorder;
 mod machine;
 pub mod ooo;

@@ -65,8 +65,8 @@ impl Dep {
 #[derive(Debug)]
 struct Entry {
     f: Fetched,
-    /// Pre-decoded scheduling metadata of `f.instr`, copied from the block
-    /// cache at dispatch.
+    /// Pre-decoded scheduling metadata of the instruction, copied from the
+    /// block cache at dispatch.
     m: InstrMeta,
     state: EState,
     deps: [Option<Dep>; 3],
@@ -77,6 +77,8 @@ struct Entry {
     dispatch_cycle: u64,
     issue_cycle: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() <= 144);
 
 /// The [`InstrMeta`] flags of instructions that hold a rename shadow
 /// checkpoint from dispatch until their outcome is known: every conditional
@@ -143,7 +145,9 @@ fn decode_entry(
         None => None,
     };
     let f = ckpt::decode_fetched(program, snapshot::field(j, "f")?)?;
-    let m = *cache.meta_at(f.pc).ok_or(SnapshotError::Bad("pc"))?;
+    // `decode_fetched` checked the index against the program, which the
+    // cache was built from.
+    let m = *cache.meta_idx(f.idx as usize);
     // The checkpoint need is derived from the instruction; the wire copy
     // must agree with it.
     if snapshot::get_bool(j, "ckpt")? != (m.flags & checkpoint_flags(cfg.trap_model) != 0) {
@@ -175,7 +179,7 @@ fn decode_entry(
 /// the front end's `next_seq`, and holds less than `3 × issue_width`
 /// entries (fetch runs only below `2 × issue_width` and adds at most
 /// `issue_width`); and every rename-map entry names a dispatched
-/// instruction.
+/// instruction. Text indices were checked as each record decoded.
 fn check_window(
     cfg: &OooConfig,
     rob: &VecDeque<Entry>,
@@ -195,9 +199,7 @@ fn check_window(
     let tail = rob_base.saturating_add(rob.len() as u64);
     let fetch_q_ok = fetch_q.len() < 3 * cfg.issue_width as usize
         && tail.checked_add(fetch_q.len() as u64) == Some(next_seq)
-        && fetch_q.iter().enumerate().all(|(i, f)| {
-            f.seq.checked_sub(tail) == Some(i as u64) && f.cc_dep.is_none_or(|c| c < f.seq)
-        });
+        && fetch_q.iter().enumerate().all(|(i, f)| f.seq.checked_sub(tail) == Some(i as u64));
     if !fetch_q_ok {
         return Err(SnapshotError::Bad("fetch_q"));
     }
@@ -302,6 +304,10 @@ fn run_with<O: Observer>(
     let mut rob_base: u64; // seq of rob.front()
     let mut fetch_q: VecDeque<Fetched>;
     let mut last_writer: [Option<u64>; 64];
+    // The most recent data reference dispatched: the producer of the
+    // cache-outcome condition code a `bmiss` reads. Dispatch runs in program
+    // order, so it is the last data reference fetched before the `bmiss`.
+    let mut last_data_ref: Option<u64>;
     // Future-event queues (deterministic min-heaps; see `crate::sched`).
     let mut resolve_q: WakeupQueue<u64>; // seq due at cycle
     let mut ckpt_release_q: WakeupQueue<()>;
@@ -313,14 +319,14 @@ fn run_with<O: Observer>(
     let mut slots;
     let mut cpi;
     // The pre-decoded block table drives dispatch, issue and graduation in
-    // both modes; only fast runs also hand it to the front end's batched
-    // fetch (below).
+    // both modes; only fast runs batch plain runs from it at fetch.
     let cache = BlockCache::build(program, |i| cfg.latency(i));
     let ckpt_flags = checkpoint_flags(cfg.trap_model);
     if let Some(body) = resume {
         hier = MemoryHierarchy::from_wire(snapshot::field(body, "hier")?)?;
         fe = FrontEnd::restore(
             program,
+            &cache,
             cfg.predictor_entries,
             cfg.trap_model,
             cfg.hier.l1i.line_bytes,
@@ -355,6 +361,10 @@ fn run_with<O: Observer>(
             *slot = w;
         }
         check_window(cfg, &rob, rob_base, &fetch_q, fe.next_seq(), &last_writer)?;
+        // An older data reference has graduated, which readies its
+        // condition-code consumers anyway.
+        last_data_ref =
+            rob.iter().rev().find(|e| e.m.flags & InstrMeta::DATA_REF != 0).map(|e| e.f.seq);
         resolve_q = ckpt::decode_wakeup(snapshot::field(body, "resolve_q")?, "resolve_q", Ok)?;
         ckpt_release_q = ckpt::decode_wakeup(
             snapshot::field(body, "ckpt_release_q")?,
@@ -382,12 +392,21 @@ fn run_with<O: Observer>(
         cpi = ckpt::decode_cpi(snapshot::field(body, "cpi")?)?;
     } else {
         hier = MemoryHierarchy::new(cfg.hier);
-        fe = FrontEnd::new(program, cfg.predictor_entries, cfg.trap_model, cfg.hier.l1i.line_bytes);
+        fe = FrontEnd::new(
+            program,
+            &cache,
+            cfg.predictor_entries,
+            cfg.trap_model,
+            cfg.hier.l1i.line_bytes,
+        );
         mshrs = MshrFile::new(cfg.hier.mshrs, cfg.mshr_mode);
         rob = VecDeque::with_capacity(cfg.rob_entries as usize);
         rob_base = 0;
-        fetch_q = VecDeque::with_capacity(2 * cfg.issue_width as usize);
+        // Fetch runs below `2 × issue_width` queued and adds at most
+        // `issue_width`.
+        fetch_q = VecDeque::with_capacity(3 * cfg.issue_width as usize);
         last_writer = [None; 64];
+        last_data_ref = None;
         // Structural bounds: at most one pending resolution / shadow
         // checkpoint per ROB entry, one fill per MSHR.
         resolve_q = WakeupQueue::with_capacity(cfg.rob_entries as usize);
@@ -400,7 +419,6 @@ fn run_with<O: Observer>(
         slots = SlotBreakdown::default();
         cpi = CpiStack::default();
     }
-    let mut fetch_buf: Vec<Fetched> = Vec::with_capacity(cfg.issue_width as usize);
 
     // Programs without condition-code branches never create `Dep::Outcome`
     // edges, so their wakeup horizon can skip the per-entry outcome-cycle
@@ -411,14 +429,10 @@ fn run_with<O: Observer>(
     let width = cfg.issue_width as u64;
     let mut done = false;
 
-    // Fast mode: event-driven runs — observed, traced or not — consume
-    // pre-decoded blocks in the front end and wake consumers instead of
-    // polling them. Tick-accurate runs are the unchanged bit-identity
-    // reference.
+    // Fast mode: event-driven runs — observed, traced or not — fetch plain
+    // runs in batches and wake consumers instead of polling them.
+    // Tick-accurate runs are the unchanged bit-identity reference.
     let fast = !limits.force_tick_accurate;
-    if fast {
-        fe.attach_blocks(&cache);
-    }
 
     // ROB occupancy masks (fast mode, ROBs that fit a word): bit `i` of
     // `waiting_mask`/`issued_mask` set ⇔ `rob[i]` is Waiting/Issued. The
@@ -518,7 +532,7 @@ fn run_with<O: Observer>(
         }
         if let Some(h) = rob.front() {
             if h.state != EState::Complete && h.m.flags & InstrMeta::DATA_REF != 0 {
-                if let Some(p) = h.f.probe {
+                if let Some(p) = h.f.probe() {
                     match p.level {
                         HitLevel::L2 => return CpiCategory::L1Miss,
                         HitLevel::Memory => return CpiCategory::L2Miss,
@@ -583,7 +597,7 @@ fn run_with<O: Observer>(
                 if !wb_release.has_free(now) {
                     break; // write buffer full: stall graduation
                 }
-                let probe = head.f.probe.expect("stores probe the cache");
+                let probe = head.f.probe().expect("stores probe the cache");
                 let t = hier.schedule_data(probe, now);
                 wb_release.acquire_until(now, t.complete);
             }
@@ -597,8 +611,8 @@ fn run_with<O: Observer>(
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(InstrTrace {
                     seq: e.f.seq,
-                    pc: e.f.pc,
-                    instr: e.f.instr,
+                    pc: e.f.pc(),
+                    instr: program.instrs()[e.f.idx as usize],
                     fetch: e.f.fetch_cycle,
                     dispatch: e.dispatch_cycle,
                     issue: e.issue_cycle,
@@ -611,7 +625,7 @@ fn run_with<O: Observer>(
             }
             if O::ON {
                 obs.record(now, EventKind::Graduate { seq: e.f.seq });
-                if matches!(e.f.instr, Instr::JumpMhrr) {
+                if matches!(program.instrs()[e.f.idx as usize], Instr::JumpMhrr) {
                     obs.record(now, EventKind::TrapReturn { seq: e.f.seq });
                 }
                 if e.m.kind == InstrMeta::KIND_LOAD && e.issue_cycle != u64::MAX {
@@ -642,7 +656,7 @@ fn run_with<O: Observer>(
             let head_is_miss_stall = rob.front().is_some_and(|h| {
                 h.state != EState::Complete
                     && h.m.flags & InstrMeta::DATA_REF != 0
-                    && h.f.probe.is_some_and(|p| p.level.is_l1_miss())
+                    && h.f.probe().is_some_and(|p| p.level.is_l1_miss())
             });
             if head_is_miss_stall {
                 slots.cache_stall += lost;
@@ -766,7 +780,7 @@ fn run_with<O: Observer>(
 
             let (complete, outcome, alloc_mshr) = match m.kind {
                 InstrMeta::KIND_LOAD => {
-                    let probe = e.f.probe.expect("loads probe");
+                    let probe = e.f.probe().expect("loads probe");
                     let t = hier.schedule_data(probe, now);
                     let outcome = t.start + cfg.hier.l1_latency;
                     (
@@ -776,7 +790,7 @@ fn run_with<O: Observer>(
                     )
                 }
                 InstrMeta::KIND_PREFETCH => {
-                    if let Some(probe) = e.f.probe {
+                    if let Some(probe) = e.f.probe() {
                         let _ = hier.schedule_data(probe, now);
                     }
                     (now + 1, now + 1, None)
@@ -845,7 +859,7 @@ fn run_with<O: Observer>(
                 break;
             }
             let Some(f) = fetch_q.front() else { break };
-            let m = *cache.meta_at(f.pc).expect("fetched pcs are in the text segment");
+            let m = *cache.meta_idx(f.idx as usize);
             let needs_ckpt = m.flags & ckpt_flags != 0;
             if needs_ckpt && checkpoints_in_use >= cfg.max_checkpoints {
                 break;
@@ -865,8 +879,14 @@ fn run_with<O: Observer>(
                     n += 1;
                 }
             }
-            if let Some(cc) = f.cc_dep {
-                deps[n] = Some(Dep::Outcome(cc));
+            if m.flags & (InstrMeta::BMISS | InstrMeta::BMISS_MEM) != 0 {
+                // A producer that has left the ROB is ready: no edge.
+                if let Some(cc) = last_data_ref.filter(|&s| s >= rob_base) {
+                    deps[n] = Some(Dep::Outcome(cc));
+                }
+            }
+            if m.flags & InstrMeta::DATA_REF != 0 {
+                last_data_ref = Some(f.seq);
             }
             if m.dest != NO_REG {
                 last_writer[m.dest as usize] = Some(f.seq);
@@ -900,9 +920,7 @@ fn run_with<O: Observer>(
                     fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fetch_q, obs)?;
                 }
             } else {
-                fetch_buf.clear();
-                fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_buf, obs)?;
-                fetch_q.extend(fetch_buf.drain(..));
+                fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_q, obs)?;
             }
             if fetch_q.len() > before {
                 progress = true;
@@ -981,7 +999,7 @@ fn run_with<O: Observer>(
                 let head_is_miss_stall = rob.front().is_some_and(|hd| {
                     hd.state != EState::Complete
                         && hd.m.flags & InstrMeta::DATA_REF != 0
-                        && hd.f.probe.is_some_and(|p| p.level.is_l1_miss())
+                        && hd.f.probe().is_some_and(|p| p.level.is_l1_miss())
                 });
                 if head_is_miss_stall {
                     slots.cache_stall += lost;
@@ -1242,6 +1260,31 @@ mod tests {
         let res = run(&p);
         assert_eq!(res.informing_traps, 1, "only the cold miss dispatches");
         assert_eq!(res.instructions, 6 + 2);
+    }
+
+    #[test]
+    fn bmiss_waits_for_the_outcome_of_the_last_data_reference() {
+        let mut a = Asm::new();
+        let hdl = a.label("h");
+        a.li(r(1), 0x40_0000);
+        a.load(r(2), r(1), 0); // cold miss
+        a.branch_on_miss(hdl); // no register source: only the outcome orders it
+        a.halt();
+        a.bind(hdl).unwrap();
+        a.jump_mhrr();
+        let p = a.assemble().unwrap();
+        let cfg = OooConfig::paper();
+        let (_, traces) = simulate_traced(&p, &cfg, RunLimits::default()).unwrap();
+        let issue = |want: fn(&Instr) -> bool| {
+            traces.iter().find(|t| want(&t.instr)).expect("graduated").issue
+        };
+        let load = issue(|i| matches!(i, Instr::Load { .. }));
+        let bmiss = issue(|i| matches!(i, Instr::BranchOnMiss { .. }));
+        assert!(
+            bmiss >= load + cfg.hier.l1_latency,
+            "bmiss issued at {bmiss}, before the load's outcome ({load} + {})",
+            cfg.hier.l1_latency
+        );
     }
 
     #[test]

@@ -53,9 +53,10 @@ use crate::{inorder, ooo, Machine};
 /// program or machine.
 ///
 /// The wire carries no value the rest of the state determines: the pause
-/// cycle is the body's `now`, and the cores rebuild their sequence and
+/// cycle is the body's `now`, the cores rebuild their sequence and
 /// retirement counters from the architectural instruction count and the
-/// instruction window.
+/// instruction window, and an in-flight instruction names its text index
+/// instead of carrying its address and encoding (version 4).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     core: String,
@@ -74,7 +75,7 @@ impl Checkpoint {
 
 impl Snapshot for Checkpoint {
     const KIND: &'static str = "cpu.checkpoint";
-    const VERSION: u32 = 3;
+    const VERSION: u32 = 4;
 
     fn encode(&self) -> Json {
         Json::obj([

@@ -69,7 +69,7 @@ impl SpeedStats {
 
 /// Folds one run's [`FetchStats`] into the process-global counters. Called
 /// by the cores at the end of a fast-path run.
-pub fn flush(stats: FetchStats) {
+pub(crate) fn flush(stats: FetchStats) {
     GROUPS.fetch_add(stats.groups, Ordering::Relaxed);
     BLOCK_GROUPS.fetch_add(stats.block_groups, Ordering::Relaxed);
     PLAIN_INSTRS.fetch_add(stats.plain_instrs, Ordering::Relaxed);

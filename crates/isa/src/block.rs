@@ -258,12 +258,6 @@ impl BlockCache {
         (idx < self.meta.len()).then_some(idx)
     }
 
-    /// Pre-decoded metadata for the instruction at `addr`.
-    #[inline]
-    pub fn meta_at(&self, addr: u64) -> Option<&InstrMeta> {
-        self.index_of(addr).map(|i| &self.meta[i])
-    }
-
     /// Pre-decoded metadata by instruction index.
     #[inline]
     pub fn meta_idx(&self, idx: usize) -> &InstrMeta {
@@ -432,11 +426,11 @@ mod tests {
         a.halt();
         let p = a.assemble().unwrap();
         let c = BlockCache::build(&p, flat_lat);
-        assert!(c.meta_at(TEXT_BASE).is_some());
-        assert!(c.meta_at(TEXT_BASE + 4).is_some());
-        assert!(c.meta_at(TEXT_BASE + 8).is_none(), "past end");
-        assert!(c.meta_at(TEXT_BASE + 2).is_none(), "unaligned");
-        assert!(c.meta_at(0).is_none(), "below base");
+        assert_eq!(c.index_of(TEXT_BASE), Some(0));
+        assert_eq!(c.index_of(TEXT_BASE + 4), Some(1));
+        assert!(c.index_of(TEXT_BASE + 8).is_none(), "past end");
+        assert!(c.index_of(TEXT_BASE + 2).is_none(), "unaligned");
+        assert!(c.index_of(0).is_none(), "below base");
         assert!(c.block_at(TEXT_BASE).is_some());
     }
 

@@ -155,9 +155,8 @@ fn observed_resume_reconciles_cpi_exactly() {
     }
 }
 
-/// Pauses landing inside the fast path's split plain-run queue: the compact
-/// run descriptors must rematerialize into the exact fetch-queue entries the
-/// generic loop would hold, byte-stably across the wire, and resume onto the
+/// Pauses landing while batch-fetched plain instructions are still queued:
+/// their handles must cross the wire byte-stably and resume onto the
 /// uninterrupted result — probed at a dense band of consecutive stop cycles
 /// so some checkpoints are guaranteed to catch partially drained runs
 /// mid-block.
@@ -299,24 +298,38 @@ fn arr_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
     }
 }
 
+/// The program the malformed-window tests pause: xlisp instrumented
+/// trap-10S.
+fn xlisp_trap() -> Program {
+    let p = (by_name("xlisp").expect("workload exists").build)(Scale::Test);
+    let [_, (_, trap), _] = schemes();
+    instrument(&p, &trap).expect("instruments").program
+}
+
 /// Pauses xlisp trap-10S on `machine` at cycle 237, with several
 /// instructions in flight (in the out-of-order core's reorder buffer, or the
 /// in-order core's fetch queue), lets `edit` change the checkpoint body's
 /// wire, and resumes the edited checkpoint.
 fn resume_edited(machine: Machine, edit: impl FnOnce(&mut Json)) -> Result<Outcome, SimError> {
-    let p = (by_name("xlisp").expect("workload exists").build)(Scale::Test);
-    let [_, (_, trap), _] = schemes();
-    let inst = instrument(&p, &trap).expect("instruments");
+    resume_edited_envelope(machine, |wire| edit(field_mut(field_mut(wire, "data"), "body")))
+}
+
+/// [`resume_edited`], with `edit` given the whole wire envelope.
+fn resume_edited_envelope(
+    machine: Machine,
+    edit: impl FnOnce(&mut Json),
+) -> Result<Outcome, SimError> {
+    let program = xlisp_trap();
     let outcome =
-        SimSession::new(&inst.program, machine).stop_at(237).run().expect("bounded run pauses");
+        SimSession::new(&program, machine).stop_at(237).run().expect("bounded run pauses");
     let Outcome::Paused(ckpt) = outcome else { panic!("cycle 237 is before the end") };
     let mut wire = ckpt.to_wire();
     let body = field_mut(field_mut(&mut wire, "data"), "body");
     let window = if matches!(machine, Machine::OutOfOrder(_)) { "rob" } else { "queue" };
     assert!(arr_mut(body, window).len() >= 4, "the pause must catch a populated {window}");
-    edit(body);
-    let edited = Checkpoint::from_wire(&wire).expect("edited wire still decodes");
-    SimSession::new(&inst.program, machine).resume(&edited)
+    edit(&mut wire);
+    let edited = Checkpoint::from_wire(&wire).map_err(SimError::Checkpoint)?;
+    SimSession::new(&program, machine).resume(&edited)
 }
 
 fn assert_bad(result: Result<Outcome, SimError>, field: &str) {
@@ -420,6 +433,69 @@ fn undispatched_rename_checkpoint_is_rejected() {
             arr_mut(body, "last_writer")[1] = snapshot::u64_json(1_000_000);
         }),
         "last_writer",
+    );
+}
+
+/// A version-3 envelope, whose records named their instruction by `pc`
+/// instead of a text index, is refused before its body is read.
+#[test]
+fn version_3_checkpoint_is_rejected() {
+    for machine in [Machine::default_ooo(), Machine::default_in_order()] {
+        let result = resume_edited_envelope(machine, |wire| {
+            *field_mut(wire, "version") = Json::from(3u64);
+        });
+        match result {
+            Err(SimError::Checkpoint(SnapshotError::Version {
+                kind: "cpu.checkpoint",
+                expected: 4,
+                found: 3,
+            })) => {}
+            Err(e) => panic!("{}: expected a version error, got {e}", machine.name()),
+            Ok(_) => panic!("{}: a version-3 checkpoint resumed", machine.name()),
+        }
+    }
+}
+
+/// Points the first record of the array `window` (or, for `"rob"`, the
+/// first entry's record) at the first text index past the program.
+fn index_past_the_text(body: &mut Json, window: &str) {
+    let past_end = snapshot::u64_json(xlisp_trap().len() as u64);
+    let record = arr_mut(body, window).first_mut().expect("a populated window");
+    let record = if window == "rob" { field_mut(record, "f") } else { record };
+    *field_mut(record, "idx") = past_end;
+}
+
+/// An in-order fetch-queue record naming no instruction of the program.
+#[test]
+fn inorder_queue_index_past_the_text_is_rejected() {
+    assert_bad(
+        resume_edited(Machine::default_in_order(), |body| index_past_the_text(body, "queue")),
+        "idx",
+    );
+}
+
+/// An out-of-order fetch-queue record naming no instruction of the program.
+/// The pause catches an empty fetch queue, so the test queues a copy of a
+/// reorder-buffer record first; records decode before the window's shape
+/// is checked.
+#[test]
+fn fetch_queue_index_past_the_text_is_rejected() {
+    assert_bad(
+        resume_edited(Machine::default_ooo(), |body| {
+            let record = field_mut(&mut arr_mut(body, "rob")[0], "f").clone();
+            arr_mut(body, "fetch_q").insert(0, record);
+            index_past_the_text(body, "fetch_q");
+        }),
+        "idx",
+    );
+}
+
+/// A reorder-buffer record naming no instruction of the program.
+#[test]
+fn rob_index_past_the_text_is_rejected() {
+    assert_bad(
+        resume_edited(Machine::default_ooo(), |body| index_past_the_text(body, "rob")),
+        "idx",
     );
 }
 

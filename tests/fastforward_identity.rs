@@ -65,8 +65,8 @@ fn all_workloads_machines_schemes_are_tick_identical() {
 /// one of the three modes that interact with the block-batched fast paths —
 /// recorder on and attribution on (which ride through the batch path and
 /// must observe exactly what a tick-accurate observed run observes), and a
-/// `stop_at` landing mid-run (which forces the split plain-run queue to
-/// rematerialize into a checkpoint and resume). Every mode must end
+/// `stop_at` landing mid-run (which checkpoints batch-fetched plain
+/// instructions still queued and resumes them). Every mode must end
 /// bit-identical to the tick-accurate reference.
 #[test]
 fn block_batch_modes_are_tick_identical() {
