@@ -239,7 +239,9 @@ pub const SCHEMAS: &[BenchSchema] = &[
             r("data.rows[*].instructions", Expect::NumPos),
             r("data.rows[*].identical_to_tick_accurate", Expect::True),
             r("data.rows[*].wall_ns", Expect::NumPos),
+            r("data.rows[*].wall_min_ns", Expect::NumPos),
             r("data.rows[*].tick_wall_ns", Expect::NumPos),
+            r("data.rows[*].tick_wall_min_ns", Expect::NumPos),
             r("data.rows[*].cycles_per_sec", Expect::NumPos),
             r("data.rows[*].speedup_vs_tick", Expect::NumPos),
             // Exact fast-path coverage counters (compared bit-for-bit, not
@@ -354,7 +356,9 @@ pub const WALL_KEYS: &[&str] = &[
     "full_over_plain",
     "attrib_over_plain",
     "wall_ns",
+    "wall_min_ns",
     "tick_wall_ns",
+    "tick_wall_min_ns",
     "cycles_per_sec",
     "speedup_vs_tick",
 ];

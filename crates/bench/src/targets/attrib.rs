@@ -6,19 +6,23 @@
 //! same for the parallel simulator under all three access-control schemes.
 //!
 //! Fully deterministic: no wall-clock fields, every counter diffs exactly.
+//! Each row goes through both memo tiers ([`memoized_stored`]) as the JSON
+//! object the baseline holds, so a warm gate simulates none of them.
 
 use imo_coherence::{simulate_observed, MachineParams, Scheme};
 use imo_core::Machine;
 use imo_faults::FaultPlan;
 use imo_obs::{AttribConfig, Pattern, Recorder};
 use imo_util::json::Json;
+use imo_util::snapshot::SnapshotError;
 use imo_workloads::parallel::{migratory, TraceConfig};
 use imo_workloads::{spec, Scale};
 
 use crate::report::{emit, Table};
-use crate::sweep::SweepSpec;
+use crate::sweep::{both_machines, memoized_stored, SweepSpec};
 
 /// One workload × machine classification row.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuRow {
     /// Workload name.
     pub workload: &'static str,
@@ -44,6 +48,7 @@ pub struct CpuRow {
 }
 
 /// One coherence-scheme classification row.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohRow {
     /// Scheme name.
     pub scheme: &'static str,
@@ -63,40 +68,72 @@ pub struct Output {
     pub coherence: Vec<CohRow>,
 }
 
-fn cpu_cell(name: &'static str) -> Vec<CpuRow> {
+/// Profiles `name` at `Scale::Test` on `m`: a plain run, and a run under
+/// the attribution recorder that must reproduce it.
+fn cpu_row(name: &'static str, m: Machine) -> CpuRow {
     let s = spec::by_name(name).expect("workload exists");
     let p = (s.build)(Scale::Test);
-    let mut rows = Vec::new();
-    for m in [Machine::default_ooo(), Machine::default_in_order()] {
-        let plain = m.run(&p).expect("plain run");
-        let mut rec = Recorder::disabled();
-        rec.enable_attribution(m.attrib_config());
-        let (res, _) = m.run_observed(&p, &mut rec).expect("observed run");
-        let a = rec.attribution().expect("attribution enabled");
-        let profile = a.profile(name);
-        let mut patterns = [0u64; 3];
-        for pc in &profile.pcs {
-            patterns[match pc.pattern {
-                Pattern::FixedStride(_) => 0,
-                Pattern::PointerChase => 1,
-                Pattern::Irregular => 2,
-            }] += 1;
-        }
-        let hot = profile.pcs.first();
-        rows.push(CpuRow {
-            workload: name,
-            machine: m.name(),
-            demand_refs: a.cpu_demand_refs(),
-            demand_misses: a.cpu_classified_total(),
-            classes: a.cpu_classes(),
-            reconciled: a.reconciles_cpu(res.mem.l1d_misses, res.mem.l2_misses),
-            passive: res == plain,
-            hot_pc: hot.map_or(0, |pc| pc.pc),
-            hot_pattern: hot.map_or_else(|| "-".to_string(), |pc| pc.pattern.to_string()),
-            patterns,
-        });
+    let plain = m.run(&p).expect("plain run");
+    let mut rec = Recorder::disabled();
+    rec.enable_attribution(m.attrib_config());
+    let (res, _) = m.run_observed(&p, &mut rec).expect("observed run");
+    let a = rec.attribution().expect("attribution enabled");
+    let profile = a.profile(name);
+    let mut patterns = [0u64; 3];
+    for pc in &profile.pcs {
+        patterns[match pc.pattern {
+            Pattern::FixedStride(_) => 0,
+            Pattern::PointerChase => 1,
+            Pattern::Irregular => 2,
+        }] += 1;
     }
-    rows
+    let hot = profile.pcs.first();
+    CpuRow {
+        workload: name,
+        machine: m.name(),
+        demand_refs: a.cpu_demand_refs(),
+        demand_misses: a.cpu_classified_total(),
+        classes: a.cpu_classes(),
+        reconciled: a.reconciles_cpu(res.mem.l1d_misses, res.mem.l2_misses),
+        passive: res == plain,
+        hot_pc: hot.map_or(0, |pc| pc.pc),
+        hot_pattern: hot.map_or_else(|| "-".to_string(), |pc| pc.pattern.to_string()),
+        patterns,
+    }
+}
+
+/// `name`'s rows on both machines, each through both memo tiers under a
+/// key of every input it depends on.
+fn cpu_cell(name: &'static str) -> Vec<CpuRow> {
+    both_machines()
+        .into_iter()
+        .map(|m| {
+            let key = format!("attrib-cpu/{name}/{:?}/{m:?}", Scale::Test);
+            memoized_stored(
+                &key,
+                cpu_row_json,
+                |j| decode_cpu_row(j, name, m.name()),
+                || cpu_row(name, m),
+            )
+        })
+        .collect()
+}
+
+/// Classifies the migratory trace `cfg` generates under `scheme` on
+/// `params`.
+fn coh_row(cfg: &TraceConfig, scheme: Scheme, params: &MachineParams) -> CohRow {
+    let trace = migratory(cfg);
+    let mut rec = Recorder::disabled();
+    rec.enable_attribution(AttribConfig::for_l1(params.l1_bytes, 1, params.line_bytes));
+    let (res, _) = simulate_observed(&trace, scheme, params, &FaultPlan::none(), &mut rec)
+        .expect("zero-fault coherence run");
+    let a = rec.attribution().expect("attribution enabled");
+    CohRow {
+        scheme: scheme.name(),
+        classified: a.coh_classified_total(),
+        classes: a.coh_classes(),
+        reconciled: a.reconciles_coh(res.l1_misses, res.l2_misses),
+    }
 }
 
 /// Runs the whole matrix: one pool cell per workload, plus the serial
@@ -111,22 +148,17 @@ pub fn compute() -> Output {
         .collect();
 
     let cfg = TraceConfig { procs: 8, ops_per_proc: 4_000, seed: 0x1996 };
-    let trace = migratory(&cfg);
     let params = MachineParams::table2();
     let coherence = Scheme::all()
         .iter()
         .map(|&scheme| {
-            let mut rec = Recorder::disabled();
-            rec.enable_attribution(AttribConfig::for_l1(params.l1_bytes, 1, params.line_bytes));
-            let (res, _) = simulate_observed(&trace, scheme, &params, &FaultPlan::none(), &mut rec)
-                .expect("zero-fault coherence run");
-            let a = rec.attribution().expect("attribution enabled");
-            CohRow {
-                scheme: scheme.name(),
-                classified: a.coh_classified_total(),
-                classes: a.coh_classes(),
-                reconciled: a.reconciles_coh(res.l1_misses, res.l2_misses),
-            }
+            let key = format!("attrib-coh/migratory/{cfg:?}/{scheme:?}/{params:?}");
+            memoized_stored(
+                &key,
+                coh_row_json,
+                |j| decode_coh_row(j, scheme.name()),
+                || coh_row(&cfg, scheme, &params),
+            )
         })
         .collect();
 
@@ -143,38 +175,115 @@ fn classes_json(classes: &[u64; 4]) -> [(&'static str, Json); 4] {
     ]
 }
 
+/// A CPU row as the baseline holds it; also its memo-store encoding.
+fn cpu_row_json(row: &CpuRow) -> Json {
+    let n = |v: u64| Json::Num(v as f64);
+    let mut fields = vec![
+        ("workload", Json::from(row.workload)),
+        ("machine", Json::from(row.machine)),
+        ("demand_refs", n(row.demand_refs)),
+        ("demand_misses", n(row.demand_misses)),
+    ];
+    fields.extend(classes_json(&row.classes));
+    fields.extend([
+        ("reconciled", Json::Bool(row.reconciled)),
+        ("passive", Json::Bool(row.passive)),
+        ("hot_pc", Json::from(format!("{:#x}", row.hot_pc))),
+        ("hot_pattern", Json::from(row.hot_pattern.clone())),
+        ("stride_pcs", n(row.patterns[0])),
+        ("chase_pcs", n(row.patterns[1])),
+        ("irregular_pcs", n(row.patterns[2])),
+    ]);
+    Json::obj(fields)
+}
+
+/// A coherence row as the baseline holds it; also its memo-store encoding.
+fn coh_row_json(row: &CohRow) -> Json {
+    let mut fields =
+        vec![("scheme", Json::from(row.scheme)), ("classified", Json::Num(row.classified as f64))];
+    fields.extend(classes_json(&row.classes));
+    fields.push(("reconciled", Json::Bool(row.reconciled)));
+    Json::obj(fields)
+}
+
+/// The whole number at `key` of a row object.
+fn count(j: &Json, key: &'static str) -> Result<u64, SnapshotError> {
+    match j.get(key) {
+        Some(Json::Num(v)) if v.fract() == 0.0 && (0.0..9.0e15).contains(v) => Ok(*v as u64),
+        _ => Err(SnapshotError::Bad(key)),
+    }
+}
+
+/// The boolean at `key` of a row object.
+fn flag(j: &Json, key: &'static str) -> Result<bool, SnapshotError> {
+    match j.get(key) {
+        Some(Json::Bool(b)) => Ok(*b),
+        _ => Err(SnapshotError::Bad(key)),
+    }
+}
+
+/// The string at `key` of a row object, which must equal `want`.
+fn label(j: &Json, key: &'static str, want: &'static str) -> Result<&'static str, SnapshotError> {
+    match j.get(key).and_then(Json::as_str) {
+        Some(s) if s == want => Ok(want),
+        _ => Err(SnapshotError::Bad(key)),
+    }
+}
+
+fn decode_classes(j: &Json) -> Result<[u64; 4], SnapshotError> {
+    Ok([
+        count(j, "compulsory")?,
+        count(j, "coherence")?,
+        count(j, "capacity")?,
+        count(j, "conflict")?,
+    ])
+}
+
+/// Decodes a [`cpu_row_json`] row of `workload` on `machine`.
+fn decode_cpu_row(
+    j: &Json,
+    workload: &'static str,
+    machine: &'static str,
+) -> Result<CpuRow, SnapshotError> {
+    let hot_pc = j.get("hot_pc").and_then(Json::as_str).and_then(|s| s.strip_prefix("0x"));
+    Ok(CpuRow {
+        workload: label(j, "workload", workload)?,
+        machine: label(j, "machine", machine)?,
+        demand_refs: count(j, "demand_refs")?,
+        demand_misses: count(j, "demand_misses")?,
+        classes: decode_classes(j)?,
+        reconciled: flag(j, "reconciled")?,
+        passive: flag(j, "passive")?,
+        hot_pc: hot_pc
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or(SnapshotError::Bad("hot_pc"))?,
+        hot_pattern: j
+            .get("hot_pattern")
+            .and_then(Json::as_str)
+            .ok_or(SnapshotError::Bad("hot_pattern"))?
+            .to_string(),
+        patterns: [count(j, "stride_pcs")?, count(j, "chase_pcs")?, count(j, "irregular_pcs")?],
+    })
+}
+
+/// Decodes a [`coh_row_json`] row of `scheme`.
+fn decode_coh_row(j: &Json, scheme: &'static str) -> Result<CohRow, SnapshotError> {
+    Ok(CohRow {
+        scheme: label(j, "scheme", scheme)?,
+        classified: count(j, "classified")?,
+        classes: decode_classes(j)?,
+        reconciled: flag(j, "reconciled")?,
+    })
+}
+
 /// The baseline payload, with `reconciled` / `passive` proof bits on every
 /// row.
 #[must_use]
 pub fn payload(out: &Output) -> Json {
-    let n = |v: u64| Json::Num(v as f64);
-    let cpu = out.cpu.iter().map(|row| {
-        let mut fields = vec![
-            ("workload", Json::from(row.workload)),
-            ("machine", Json::from(row.machine)),
-            ("demand_refs", n(row.demand_refs)),
-            ("demand_misses", n(row.demand_misses)),
-        ];
-        fields.extend(classes_json(&row.classes));
-        fields.extend([
-            ("reconciled", Json::Bool(row.reconciled)),
-            ("passive", Json::Bool(row.passive)),
-            ("hot_pc", Json::from(format!("{:#x}", row.hot_pc))),
-            ("hot_pattern", Json::from(row.hot_pattern.clone())),
-            ("stride_pcs", n(row.patterns[0])),
-            ("chase_pcs", n(row.patterns[1])),
-            ("irregular_pcs", n(row.patterns[2])),
-        ]);
-        Json::obj(fields)
-    });
-    let coh = out.coherence.iter().map(|row| {
-        let mut fields =
-            vec![("scheme", Json::from(row.scheme)), ("classified", n(row.classified))];
-        fields.extend(classes_json(&row.classes));
-        fields.push(("reconciled", Json::Bool(row.reconciled)));
-        Json::obj(fields)
-    });
-    Json::obj([("cpu", Json::arr(cpu)), ("coherence", Json::arr(coh))])
+    Json::obj([
+        ("cpu", Json::arr(out.cpu.iter().map(cpu_row_json))),
+        ("coherence", Json::arr(out.coherence.iter().map(coh_row_json))),
+    ])
 }
 
 /// Prints the classification matrix.
@@ -235,4 +344,41 @@ pub fn run() {
     let out = compute();
     print(&out);
     emit("attrib", payload(&out));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_round_trip_through_their_baseline_encoding() {
+        let cpu = CpuRow {
+            workload: "xlisp",
+            machine: "ooo",
+            demand_refs: 9_000,
+            demand_misses: 700,
+            classes: [300, 0, 250, 150],
+            reconciled: true,
+            passive: true,
+            hot_pc: 0x1234,
+            hot_pattern: "pointer-chase".to_string(),
+            patterns: [2, 1, 0],
+        };
+        let j = cpu_row_json(&cpu);
+        assert_eq!(decode_cpu_row(&j, "xlisp", "ooo"), Ok(cpu));
+        assert_eq!(decode_cpu_row(&j, "xlisp", "in-order"), Err(SnapshotError::Bad("machine")));
+        let coh =
+            CohRow { scheme: "informing", classified: 12, classes: [1, 2, 3, 6], reconciled: true };
+        assert_eq!(decode_coh_row(&coh_row_json(&coh), "informing"), Ok(coh));
+        let mut bad = coh_row_json(&CohRow {
+            scheme: "ecc",
+            classified: 1,
+            classes: [1, 0, 0, 0],
+            reconciled: false,
+        });
+        if let Json::Obj(fields) = &mut bad {
+            fields[1].1 = Json::Num(1.5);
+        }
+        assert_eq!(decode_coh_row(&bad, "ecc"), Err(SnapshotError::Bad("classified")));
+    }
 }

@@ -434,8 +434,7 @@ impl<'p> FrontEnd<'p> {
         let cache = self.blocks;
         self.resume_at = cycle; // any older redirect target is now stale
         self.stats.groups += 1;
-        let start_block = cache.index_of(self.exec.state().pc()).map(|i| cache.block_index(i));
-        let mut same_block = true;
+        let start_pc = self.exec.state().pc();
         let mut fetched = 0u32;
         while fetched < width {
             let pc = self.exec.state().pc();
@@ -446,7 +445,6 @@ impl<'p> FrontEnd<'p> {
             let Some(idx) = cache.index_of(pc) else {
                 return Err(ExecError::InvalidPc(pc));
             };
-            same_block &= Some(cache.block_index(idx)) == start_block;
 
             let run_len = cache.plain_run_len(idx);
             if run_len != 0 {
@@ -476,7 +474,6 @@ impl<'p> FrontEnd<'p> {
                     let f = Fetched::new(seq, idx as u32 + i, cycle, None, false, Resolve::None);
                     out.push_back(f);
                 }
-                same_block &= Some(cache.block_index(idx + k as usize - 1)) == start_block;
                 self.stats.plain_instrs += u64::from(k);
                 fetched += k;
                 continue;
@@ -490,8 +487,14 @@ impl<'p> FrontEnd<'p> {
             }
         }
         self.stats.instrs += u64::from(fetched);
-        if fetched > 0 && same_block {
-            self.stats.block_groups += 1;
+        // A group continues only past instructions that fall through, so it
+        // is a contiguous text range; blocks partition the text in order,
+        // so its ends share a block exactly when all of it does.
+        if let Some(first) = cache.index_of(start_pc).filter(|_| fetched > 0) {
+            let last = first + fetched as usize - 1;
+            if cache.block_index(first) == cache.block_index(last) {
+                self.stats.block_groups += 1;
+            }
         }
         Ok(())
     }

@@ -13,8 +13,9 @@
 //!   (2 INT, 2 FP, 1 branch, 1 memory). True (RAW) dependences only, as
 //!   renaming removes the false ones. Memory operations contend for cache
 //!   banks, MSHRs and main-memory bandwidth in `imo-mem`. Event-driven runs
-//!   park an entry whose producer has not issued on that producer's wakeup
-//!   list instead of re-polling it every cycle (DESIGN.md §10.5).
+//!   count each entry's unissued producers at dispatch and wake it when the
+//!   last one issues, instead of re-polling it every cycle (DESIGN.md
+//!   §10.5).
 //! * **Graduate** — up to `issue_width` completed instructions per cycle, in
 //!   order. Stores probe/write at graduation through a finite write buffer.
 //!   Graduation-slot accounting follows the paper's Figure 2 methodology.
@@ -22,6 +23,11 @@
 //!   fetched as soon as the load's miss is detected at execute; under
 //!   [`TrapModel::Exception`] fetch waits until the informing operation
 //!   reaches the head of the reorder buffer.
+//!
+//! Every in-flight instruction stays where the front end put it, in one
+//! window of [`Fetched`] handles: dispatch moves the reorder buffer's
+//! boundary and graduation pops the front. What dispatch adds lives in
+//! [`Rob`]'s per-slot arrays.
 
 use std::collections::VecDeque;
 
@@ -38,47 +44,369 @@ use crate::result::{MemCounters, RunLimits, RunOutcome, RunResult, SimError, Slo
 use crate::sched::{Horizon, ReleasePool, WakeupQueue};
 use crate::trace::InstrTrace;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EState {
-    Waiting,
-    Issued,
-    Complete,
+/// No producer: an entry of [`Rob::producers`] or of the rename map.
+const NONE: u64 = u64::MAX;
+
+/// The position in [`Rob::producers`] of the condition-code producer. A
+/// value source is satisfied when its producer's result is available; the
+/// condition-code source when the producer's cache outcome is known.
+const CC: usize = 2;
+
+/// Slots of the per-entry arrays. A dispatched instruction's scheduling
+/// state lives at slot `seq & 63`, so the reorder buffer holds at most this
+/// many entries.
+const SLOTS: usize = 64;
+
+/// The slot of sequence number `seq`.
+#[inline(always)]
+fn slot(seq: u64) -> usize {
+    (seq & (SLOTS as u64 - 1)) as usize
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Dep {
-    /// Satisfied when the producer's result is available.
-    Value(u64),
-    /// Satisfied when the producer's cache outcome is known (condition-code
-    /// consumers).
-    Outcome(u64),
+/// [`Rob::dep_bound`] of a producer that has not issued: no cycle bounds it.
+const UNISSUED: u64 = u64::MAX;
+
+/// The reorder buffer's scheduling state.
+///
+/// The instructions stay in the window the front end fetched them into:
+/// positions `..len` are the reorder buffer (position 0 is seq `base`), the
+/// rest wait for dispatch. What dispatch adds is written in place into one
+/// record per slot `seq & 63`, kept as parallel arrays; issue and graduation
+/// read it there. Reorder-buffer seqs are contiguous and number at most 64,
+/// so live slots never collide. An entry is Waiting or Issued when its bit
+/// is set in `waiting` or `issued`, and Complete when neither is.
+///
+/// Event-driven runs also count wakeups. A Waiting entry's `pending` counts
+/// its distinct producers that are still Waiting; it holds its bit in each
+/// one's word `waiters[p]`, and in `parked` while the count is above 0. Its
+/// `ready_at` is the largest completion cycle of its issued value producers
+/// and its fetch-to-issue floor: with the count at 0 the entry's values are
+/// ready exactly when `ready_at <= now`. A producer's issue lowers its
+/// waiters' counts and raises their `ready_at`. Entries with a
+/// condition-code source are in `outcome_consumers`; for
+/// them `ready_at` is only a lower bound, and issue rechecks their sources,
+/// because a Complete producer that graduates readies them before its
+/// outcome cycle. Counts, bounds and masks are derived state: resume
+/// rebuilds them from the decoded entries.
+struct Rob {
+    /// Seq of the oldest entry, the window's front; every older instruction
+    /// has graduated.
+    base: u64,
+    /// Dispatched entries: the window's first `len` handles.
+    len: usize,
+    /// Pre-decoded scheduling metadata, copied from the block cache.
+    meta: [InstrMeta; SLOTS],
+    /// The seqs of the entry's producers: the last writers of its register
+    /// sources, then at [`CC`] the data reference whose cache outcome a
+    /// condition-code branch reads; [`NONE`] where there is none.
+    producers: [[u64; 3]; SLOTS],
+    complete: [u64; SLOTS],
+    /// Cycle the hit/miss outcome (memory) or direction (branch) is known.
+    outcome: [u64; SLOTS],
+    dispatch: [u64; SLOTS],
+    issue: [u64; SLOTS],
+    mshr: [Option<MshrId>; SLOTS],
+    waiting: u64,
+    issued: u64,
+    /// At most the earliest `complete` of an Issued entry: the complete
+    /// stage has nothing to do before it.
+    next_complete: u64,
+    pending: [u8; SLOTS],
+    ready_at: [u64; SLOTS],
+    waiters: [u64; SLOTS],
+    parked: u64,
+    outcome_consumers: u64,
+    /// At most the earliest `ready_at` of an unparked Waiting entry: the
+    /// event-driven issue scan has nothing to do before it.
+    issue_due: u64,
 }
 
-impl Dep {
-    fn seq(self) -> u64 {
-        match self {
-            Dep::Value(s) | Dep::Outcome(s) => s,
+const _: () = assert!(std::mem::size_of::<Rob>() <= 6_400);
+
+impl Rob {
+    fn new(base: u64) -> Rob {
+        let meta = InstrMeta {
+            src1: NO_REG,
+            src2: NO_REG,
+            dest: NO_REG,
+            fu: 0,
+            kind: 0,
+            flags: 0,
+            lat: 0,
+        };
+        Rob {
+            base,
+            len: 0,
+            meta: [meta; SLOTS],
+            producers: [[NONE; 3]; SLOTS],
+            complete: [u64::MAX; SLOTS],
+            outcome: [u64::MAX; SLOTS],
+            dispatch: [0; SLOTS],
+            issue: [u64::MAX; SLOTS],
+            mshr: [None; SLOTS],
+            waiting: 0,
+            issued: 0,
+            next_complete: 0,
+            pending: [0; SLOTS],
+            ready_at: [0; SLOTS],
+            waiters: [0; SLOTS],
+            parked: 0,
+            outcome_consumers: 0,
+            issue_due: 0,
         }
     }
-}
 
-#[derive(Debug)]
-struct Entry {
-    f: Fetched,
-    /// Pre-decoded scheduling metadata of the instruction, copied from the
-    /// block cache at dispatch.
-    m: InstrMeta,
-    state: EState,
-    deps: [Option<Dep>; 3],
-    complete_cycle: u64,
-    /// Cycle the hit/miss outcome (memory) or direction (branch) is known.
-    outcome_cycle: u64,
-    mshr: Option<MshrId>,
-    dispatch_cycle: u64,
-    issue_cycle: u64,
-}
+    /// Whether the entry in slot `s` is Complete.
+    #[inline(always)]
+    fn is_complete(&self, s: usize) -> bool {
+        (self.waiting | self.issued) & (1 << s) == 0
+    }
 
-const _: () = assert!(std::mem::size_of::<Entry>() <= 144);
+    /// Earliest cycle at which the source produced by `seq` (its cache
+    /// outcome if `outcome`, else its value) can possibly become ready: 0
+    /// when it is ready now, a provable future lower bound otherwise.
+    /// Readiness means the producer has graduated (left the ROB), or — for
+    /// values — completed by `now`, or — for outcomes — left `Waiting` with
+    /// its `outcome` cycle due. [`NONE`] is always ready. `bound <= now` is
+    /// exactly that predicate, and a future bound is a pure filter for the
+    /// issue stage: re-evaluating at or after it gives the truth, so skipping
+    /// the dep walk before it is exact.
+    ///
+    /// * A `Waiting` producer cannot ready a consumer until it issues
+    ///   (issuing yields completion/outcome cycles strictly in the future,
+    ///   and graduation requires completion first), so no cycle is a bound:
+    ///   [`UNISSUED`].
+    /// * An `Issued` producer's `complete`/`outcome` are fixed at issue;
+    ///   during the issue stage they are strictly future (the complete
+    ///   stage already retired anything due). Graduation — which also
+    ///   readies outcome consumers — cannot precede `complete + 1`.
+    /// * A `Complete` producer may still leave the ROB next cycle, readying
+    ///   an outcome consumer before `outcome`, so only `now + 1` is provable
+    ///   there.
+    fn dep_bound(&self, seq: u64, outcome: bool, now: u64) -> u64 {
+        if seq.wrapping_sub(self.base) >= self.len as u64 {
+            return 0; // graduated, or no producer
+        }
+        let p = slot(seq);
+        if self.waiting & (1 << p) != 0 {
+            UNISSUED
+        } else if self.issued & (1 << p) != 0 {
+            if outcome {
+                self.outcome[p].min(self.complete[p] + 1)
+            } else {
+                self.complete[p]
+            }
+        } else if outcome && self.outcome[p] > now {
+            self.outcome[p].min(now + 1)
+        } else {
+            0
+        }
+    }
+
+    /// Counts and bounds the Waiting entry in slot `s`, whose fetch-to-issue
+    /// floor is `floor`, against its producers' states now: each source
+    /// whose producer is Waiting adds the entry's bit to that producer's
+    /// wakeup word, counting each distinct producer once; every other source
+    /// raises `ready_at`. Runs at dispatch, and on resume in ROB order.
+    /// `graduated` is the last cycle whose graduation stage has run: `now`
+    /// at dispatch, but `now - 1` on resume, where this cycle's graduation
+    /// may still retire a Complete condition-code producer before its
+    /// outcome cycle.
+    #[inline(always)]
+    fn link(&mut self, s: usize, floor: u64, graduated: u64) {
+        let bit = 1u64 << s;
+        let [v1, v2, cc] = self.producers[s];
+        let (mut pending, mut ready_at) = (0u8, floor);
+        let mut wait_on = |rob: &mut Rob, p: u64| {
+            let w = &mut rob.waiters[slot(p)];
+            if *w & bit == 0 {
+                *w |= bit;
+                pending += 1;
+            }
+        };
+        for p in [v1, v2] {
+            if p.wrapping_sub(self.base) >= self.len as u64 {
+                continue; // graduated, or no producer
+            }
+            if self.waiting & (1 << slot(p)) != 0 {
+                wait_on(self, p);
+            } else {
+                ready_at = ready_at.max(self.complete[slot(p)]);
+            }
+        }
+        if cc == NONE {
+            self.outcome_consumers &= !bit;
+        } else {
+            self.outcome_consumers |= bit;
+            match self.dep_bound(cc, true, graduated) {
+                UNISSUED => wait_on(self, cc),
+                b => ready_at = ready_at.max(b),
+            }
+        }
+        self.pending[s] = pending;
+        self.ready_at[s] = ready_at;
+        if pending > 0 {
+            self.parked |= bit;
+        } else {
+            self.issue_due = self.issue_due.min(ready_at);
+        }
+        debug_assert!(self.wakeups_consistent(s));
+    }
+
+    /// The earliest cycle at which every source of slot `s` can be ready:
+    /// the polling walk over its producers.
+    fn sources_bound(&self, s: usize, now: u64) -> u64 {
+        let [v1, v2, cc] = self.producers[s];
+        self.dep_bound(v1, false, now)
+            .max(self.dep_bound(v2, false, now))
+            .max(self.dep_bound(cc, true, now))
+    }
+
+    /// The distinct producers of slot `s` that are still Waiting.
+    fn unissued_producers(&self, s: usize) -> u8 {
+        let mut seen = 0u64;
+        for (i, &p) in self.producers[s].iter().enumerate() {
+            if self.dep_bound(p, i == CC, 0) == UNISSUED {
+                seen |= 1 << slot(p);
+            }
+        }
+        seen.count_ones() as u8
+    }
+
+    /// Debug check of one Waiting entry's wakeup bookkeeping: it is parked
+    /// exactly when its count is above 0, and the count is its number of
+    /// distinct unissued producers.
+    fn wakeups_consistent(&self, s: usize) -> bool {
+        let parked = self.parked & (1 << s) != 0;
+        parked == (self.pending[s] > 0) && self.pending[s] == self.unissued_producers(s)
+    }
+
+    /// Whether the entry at the head is a data reference waiting on a
+    /// primary miss (graduation slots lost to it are cache stalls).
+    #[inline]
+    fn head_is_miss_stall(&self, window: &VecDeque<Fetched>) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        let h = slot(self.base);
+        !self.is_complete(h)
+            && self.meta[h].flags & InstrMeta::DATA_REF != 0
+            && window[0].probe().is_some_and(|p| p.level.is_l1_miss())
+    }
+
+    /// Records the graduation at `now` of handle `f` from slot `h` in the
+    /// pipeline trace and to the observer.
+    #[inline(always)]
+    fn note_graduation<O: Observer>(
+        &self,
+        h: usize,
+        f: &Fetched,
+        now: u64,
+        program: &Program,
+        trace: &mut Option<&mut Vec<InstrTrace>>,
+        obs: &mut O,
+    ) {
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.push(InstrTrace {
+                seq: f.seq,
+                pc: f.pc(),
+                instr: program.instrs()[f.idx as usize],
+                fetch: f.fetch_cycle,
+                dispatch: self.dispatch[h],
+                issue: self.issue[h],
+                complete: self.complete[h],
+                graduate: now,
+            });
+        }
+        if O::ON {
+            obs.record(now, EventKind::Graduate { seq: f.seq });
+            if matches!(program.instrs()[f.idx as usize], Instr::JumpMhrr) {
+                obs.record(now, EventKind::TrapReturn { seq: f.seq });
+            }
+            if self.meta[h].kind == InstrMeta::KIND_LOAD && self.issue[h] != u64::MAX {
+                obs.observe("cpu.load_to_use", self.complete[h].saturating_sub(self.issue[h]));
+            }
+            if f.informing_trap {
+                let resolved = if f.resolve == Resolve::AtGraduate { now } else { self.outcome[h] };
+                obs.observe("cpu.trap_redirect", resolved.saturating_sub(f.fetch_cycle));
+            }
+        }
+    }
+
+    /// Issues the Waiting entry in slot `s`, handle `f`, at `now`: schedules
+    /// its memory access, fixes its completion and outcome cycles, allocates
+    /// its MSHR and queues its checkpoint release and front-end resolution.
+    /// Returns `(complete, outcome)`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn issue<O: Observer>(
+        &mut self,
+        s: usize,
+        f: &Fetched,
+        now: u64,
+        cfg: &OooConfig,
+        ckpt_flags: u8,
+        hier: &mut MemoryHierarchy,
+        mshrs: &mut MshrFile,
+        fills: &mut WakeupQueue<MshrId>,
+        ckpt_release_q: &mut WakeupQueue<()>,
+        resolve_q: &mut WakeupQueue<u64>,
+        obs: &mut O,
+    ) -> (u64, u64) {
+        let m = self.meta[s];
+        let (complete, outcome, alloc_mshr) = match m.kind {
+            InstrMeta::KIND_LOAD => {
+                let probe = f.probe().expect("loads probe");
+                let t = hier.schedule_data(probe, now);
+                let outcome = t.start + cfg.hier.l1_latency;
+                (t.complete, outcome, probe.level.is_l1_miss().then_some((probe.line, t.complete)))
+            }
+            InstrMeta::KIND_PREFETCH => {
+                if let Some(probe) = f.probe() {
+                    let _ = hier.schedule_data(probe, now);
+                }
+                (now + 1, now + 1, None)
+            }
+            InstrMeta::KIND_STORE => {
+                // Address generation now; the cache is probed at
+                // graduation. The outcome (for the condition code) is
+                // known after an early tag probe.
+                (now + 1, now + cfg.hier.l1_latency, None)
+            }
+            _ => {
+                let lat = u64::from(m.lat);
+                (now + lat, now + lat, None)
+            }
+        };
+        let bit = 1u64 << s;
+        self.waiting &= !bit;
+        self.issued |= bit;
+        self.issue[s] = now;
+        self.complete[s] = complete;
+        self.outcome[s] = outcome;
+        self.next_complete = self.next_complete.min(complete);
+        obs.record(now, EventKind::Issue { seq: f.seq });
+        if let Some((line, fill)) = alloc_mshr {
+            let fresh = mshrs.find(line).is_none();
+            if let Some(id) = mshrs.allocate(line) {
+                self.mshr[s] = Some(id);
+                if fresh {
+                    fills.push(fill, id);
+                    obs.record(now, EventKind::MshrAllocate { line });
+                } else {
+                    obs.record(now, EventKind::MshrMerge { line });
+                }
+            }
+        }
+        if m.flags & ckpt_flags != 0 {
+            ckpt_release_q.push(outcome, ());
+        }
+        if f.resolve == Resolve::AtExecute {
+            resolve_q.push_keyed(outcome, f.seq, f.seq);
+        }
+        (complete, outcome)
+    }
+}
 
 /// The [`InstrMeta`] flags of instructions that hold a rename shadow
 /// checkpoint from dispatch until their outcome is known: every conditional
@@ -92,52 +420,59 @@ fn checkpoint_flags(trap_model: TrapModel) -> u8 {
     }
 }
 
-fn entry_json(e: &Entry, ckpt_flags: u8) -> Json {
-    let deps = e.deps.iter().flatten().map(|d| {
-        let (kind, seq) = match *d {
-            Dep::Value(s) => (0, s),
-            Dep::Outcome(s) => (1, s),
-        };
-        Json::obj([("kind", snapshot::u64_json(kind)), ("seq", snapshot::u64_json(seq))])
+/// The checkpoint record of the reorder-buffer entry with handle `f`.
+fn entry_json(rob: &Rob, f: &Fetched, ckpt_flags: u8) -> Json {
+    let s = slot(f.seq);
+    let deps = rob.producers[s].iter().enumerate().filter(|&(_, &p)| p != NONE).map(|(i, &p)| {
+        let kind = u64::from(i == CC);
+        Json::obj([("kind", snapshot::u64_json(kind)), ("seq", snapshot::u64_json(p))])
     });
+    let state = if rob.waiting & (1 << s) != 0 {
+        0
+    } else if rob.issued & (1 << s) != 0 {
+        1
+    } else {
+        2
+    };
     Json::obj([
-        ("f", ckpt::fetched_json(&e.f)),
-        (
-            "state",
-            snapshot::u64_json(match e.state {
-                EState::Waiting => 0,
-                EState::Issued => 1,
-                EState::Complete => 2,
-            }),
-        ),
+        ("f", ckpt::fetched_json(f)),
+        ("state", snapshot::u64_json(state)),
         ("deps", Json::arr(deps)),
-        ("complete", snapshot::u64_json(e.complete_cycle)),
-        ("outcome", snapshot::u64_json(e.outcome_cycle)),
-        ("ckpt", Json::Bool(e.m.flags & ckpt_flags != 0)),
-        ("mshr", snapshot::opt_u64_json(e.mshr.map(|id| id.raw() as u64))),
-        ("dispatch", snapshot::u64_json(e.dispatch_cycle)),
-        ("issue", snapshot::u64_json(e.issue_cycle)),
+        ("complete", snapshot::u64_json(rob.complete[s])),
+        ("outcome", snapshot::u64_json(rob.outcome[s])),
+        ("ckpt", Json::Bool(rob.meta[s].flags & ckpt_flags != 0)),
+        ("mshr", snapshot::opt_u64_json(rob.mshr[s].map(|id| id.raw() as u64))),
+        ("dispatch", snapshot::u64_json(rob.dispatch[s])),
+        ("issue", snapshot::u64_json(rob.issue[s])),
     ])
 }
 
+/// Decodes one [`entry_json`] record into its slot of `rob`, returning its
+/// handle. Slots are trusted only after [`check_window`] has passed.
 fn decode_entry(
     program: &Program,
     cache: &BlockCache,
     cfg: &OooConfig,
+    rob: &mut Rob,
     j: &Json,
-) -> Result<Entry, SnapshotError> {
-    let deps_wire = snapshot::field(j, "deps")?.as_arr().ok_or(SnapshotError::Bad("deps"))?;
-    if deps_wire.len() > 3 {
-        return Err(SnapshotError::Bad("deps"));
-    }
-    let mut deps: [Option<Dep>; 3] = [None; 3];
-    for (slot, d) in deps.iter_mut().zip(deps_wire) {
-        let seq = snapshot::get_u64(d, "seq")?;
-        *slot = Some(match snapshot::get_u64(d, "kind")? {
-            0 => Dep::Value(seq),
-            1 => Dep::Outcome(seq),
+) -> Result<Fetched, SnapshotError> {
+    // Dispatch lists at most two value producers (kind 0), then at most
+    // one condition-code producer (kind 1).
+    let mut producers = [NONE; 3];
+    let mut values = 0;
+    for d in snapshot::field(j, "deps")?.as_arr().ok_or(SnapshotError::Bad("deps"))? {
+        let at = match snapshot::get_u64(d, "kind")? {
+            0 if values < CC && producers[CC] == NONE => {
+                values += 1;
+                values - 1
+            }
+            1 if producers[CC] == NONE => CC,
             _ => return Err(SnapshotError::Bad("deps")),
-        });
+        };
+        producers[at] = snapshot::get_u64(d, "seq")?;
+        if producers[at] == NONE {
+            return Err(SnapshotError::Bad("deps"));
+        }
     }
     let mshr = match snapshot::get_opt_u64(j, "mshr")? {
         Some(raw) if raw < u64::from(cfg.hier.mshrs) => Some(MshrId::from_raw(raw as usize)),
@@ -153,57 +488,60 @@ fn decode_entry(
     if snapshot::get_bool(j, "ckpt")? != (m.flags & checkpoint_flags(cfg.trap_model) != 0) {
         return Err(SnapshotError::Bad("ckpt"));
     }
-    Ok(Entry {
-        f,
-        m,
-        state: match snapshot::get_u64(j, "state")? {
-            0 => EState::Waiting,
-            1 => EState::Issued,
-            2 => EState::Complete,
-            _ => return Err(SnapshotError::Bad("state")),
-        },
-        deps,
-        complete_cycle: snapshot::get_u64(j, "complete")?,
-        outcome_cycle: snapshot::get_u64(j, "outcome")?,
-        mshr,
-        dispatch_cycle: snapshot::get_u64(j, "dispatch")?,
-        issue_cycle: snapshot::get_u64(j, "issue")?,
-    })
+    let s = slot(f.seq);
+    let bit = 1u64 << s;
+    match snapshot::get_u64(j, "state")? {
+        0 => rob.waiting |= bit,
+        1 => rob.issued |= bit,
+        2 => {}
+        _ => return Err(SnapshotError::Bad("state")),
+    }
+    rob.meta[s] = m;
+    rob.producers[s] = producers;
+    rob.complete[s] = snapshot::get_u64(j, "complete")?;
+    rob.outcome[s] = snapshot::get_u64(j, "outcome")?;
+    rob.mshr[s] = mshr;
+    rob.dispatch[s] = snapshot::get_u64(j, "dispatch")?;
+    rob.issue[s] = snapshot::get_u64(j, "issue")?;
+    Ok(f)
 }
 
 /// Rejects a decoded instruction window that dispatch could not have built.
-/// The issue stage finds producers at `seq - rob_base` and wakeup words at
-/// `seq & 63`, so it relies on all of these: the ROB fits its configured
-/// size, its seqs run contiguously from `rob_base`, and every dependency
-/// names an older seq; the fetch queue continues from the ROB tail, ends at
-/// the front end's `next_seq`, and holds less than `3 × issue_width`
-/// entries (fetch runs only below `2 × issue_width` and adds at most
+/// The issue stage finds producers and wakeup words at slot `seq & 63`, so
+/// it relies on all of these: the ROB fits its configured size, its seqs run
+/// contiguously from `rob_base`, and every dependency names an older seq;
+/// the fetched-but-undispatched tail continues from the ROB, ends at the
+/// front end's `next_seq`, and holds less than `3 × issue_width` handles
+/// (fetch runs only below `2 × issue_width` and adds at most
 /// `issue_width`); and every rename-map entry names a dispatched
 /// instruction. Text indices were checked as each record decoded.
 fn check_window(
     cfg: &OooConfig,
-    rob: &VecDeque<Entry>,
-    rob_base: u64,
-    fetch_q: &VecDeque<Fetched>,
+    rob: &Rob,
+    window: &VecDeque<Fetched>,
     next_seq: u64,
-    last_writer: &[Option<u64>; 64],
+    last_writer: &[u64; 64],
 ) -> Result<(), SnapshotError> {
-    let rob_ok = rob.len() <= cfg.rob_entries as usize
-        && rob.iter().enumerate().all(|(i, e)| {
-            e.f.seq.checked_sub(rob_base) == Some(i as u64)
-                && e.deps.iter().flatten().all(|d| d.seq() < e.f.seq)
-        });
+    let contiguous = |from: u64, fs: std::collections::vec_deque::Iter<'_, Fetched>| {
+        fs.enumerate().all(|(i, f)| f.seq.checked_sub(from) == Some(i as u64))
+    };
+    let rob_ok = rob.len <= cfg.rob_entries as usize
+        && contiguous(rob.base, window.range(..rob.len))
+        && window
+            .range(..rob.len)
+            .all(|f| rob.producers[slot(f.seq)].iter().all(|&p| p == NONE || p < f.seq));
     if !rob_ok {
         return Err(SnapshotError::Bad("rob"));
     }
-    let tail = rob_base.saturating_add(rob.len() as u64);
-    let fetch_q_ok = fetch_q.len() < 3 * cfg.issue_width as usize
-        && tail.checked_add(fetch_q.len() as u64) == Some(next_seq)
-        && fetch_q.iter().enumerate().all(|(i, f)| f.seq.checked_sub(tail) == Some(i as u64));
-    if !fetch_q_ok {
+    let tail = rob.base.saturating_add(rob.len as u64);
+    let undispatched = window.len() - rob.len;
+    let tail_ok = undispatched < 3 * cfg.issue_width as usize
+        && tail.checked_add(undispatched as u64) == Some(next_seq)
+        && contiguous(tail, window.range(rob.len..));
+    if !tail_ok {
         return Err(SnapshotError::Bad("fetch_q"));
     }
-    if last_writer.iter().flatten().any(|&w| w >= tail) {
+    if last_writer.iter().any(|&w| w != NONE && w >= tail) {
         return Err(SnapshotError::Bad("last_writer"));
     }
     Ok(())
@@ -236,10 +574,9 @@ fn encode_loop(
     hier: &MemoryHierarchy,
     fe: &FrontEnd,
     mshrs: &MshrFile,
-    rob: &VecDeque<Entry>,
-    rob_base: u64,
-    fetch_q: &VecDeque<Fetched>,
-    last_writer: &[Option<u64>; 64],
+    rob: &Rob,
+    window: &VecDeque<Fetched>,
+    last_writer: &[u64; 64],
     resolve_q: &WakeupQueue<u64>,
     ckpt_release_q: &WakeupQueue<()>,
     fills: &WakeupQueue<MshrId>,
@@ -254,10 +591,15 @@ fn encode_loop(
         ("hier", hier.to_wire()),
         ("fe", fe.encode()),
         ("mshrs", mshrs.to_wire()),
-        ("rob", Json::arr(rob.iter().map(|e| entry_json(e, ckpt_flags)))),
-        ("rob_base", snapshot::u64_json(rob_base)),
-        ("fetch_q", Json::arr(fetch_q.iter().map(ckpt::fetched_json))),
-        ("last_writer", Json::arr(last_writer.iter().map(|w| snapshot::opt_u64_json(*w)))),
+        ("rob", Json::arr(window.range(..rob.len).map(|f| entry_json(rob, f, ckpt_flags)))),
+        ("rob_base", snapshot::u64_json(rob.base)),
+        ("fetch_q", Json::arr(window.range(rob.len..).map(ckpt::fetched_json))),
+        (
+            "last_writer",
+            Json::arr(
+                last_writer.iter().map(|&w| snapshot::opt_u64_json((w != NONE).then_some(w))),
+            ),
+        ),
         ("resolve_q", ckpt::wakeup_json(resolve_q, |&s| s)),
         ("ckpt_release_q", ckpt::wakeup_json(ckpt_release_q, |()| 0)),
         ("fills", ckpt::wakeup_json(fills, |id| id.raw() as u64)),
@@ -281,6 +623,9 @@ pub(crate) fn run(
     obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
+    if cfg.rob_entries as usize > SLOTS {
+        return Err(SimError::RobTooLarge { entries: cfg.rob_entries });
+    }
     match obs {
         Some(rec) => run_with(program, cfg, limits, stop_at, trace, rec, resume),
         None => run_with(program, cfg, limits, stop_at, trace, &mut NoObs, resume),
@@ -300,10 +645,12 @@ fn run_with<O: Observer>(
     let mut hier;
     let mut fe;
     let mut mshrs;
-    let mut rob: VecDeque<Entry>;
-    let mut rob_base: u64; // seq of rob.front()
-    let mut fetch_q: VecDeque<Fetched>;
-    let mut last_writer: [Option<u64>; 64];
+    let mut rob: Rob;
+    // Every in-flight instruction, oldest first: the reorder buffer's
+    // `rob.len` entries, then the fetched ones waiting for dispatch.
+    let mut window: VecDeque<Fetched>;
+    // The rename map: the seq of each register's last writer, or `NONE`.
+    let mut last_writer: [u64; 64];
     // The most recent data reference dispatched: the producer of the
     // cache-outcome condition code a `bmiss` reads. Dispatch runs in program
     // order, so it is the last data reference fetched before the `bmiss`.
@@ -315,13 +662,16 @@ fn run_with<O: Observer>(
     let mut checkpoints_in_use: u32;
     let mut wb_release;
     let mut now: u64;
-    let mut graduated_total: u64;
     let mut slots;
     let mut cpi;
     // The pre-decoded block table drives dispatch, issue and graduation in
     // both modes; only fast runs batch plain runs from it at fetch.
     let cache = BlockCache::build(program, |i| cfg.latency(i));
     let ckpt_flags = checkpoint_flags(cfg.trap_model);
+    // Fast mode: event-driven runs — observed, traced or not — fetch plain
+    // runs in batches and count wakeups instead of polling.
+    // Tick-accurate runs are the unchanged bit-identity reference.
+    let fast = !limits.force_tick_accurate;
     if let Some(body) = resume {
         hier = MemoryHierarchy::from_wire(snapshot::field(body, "hier")?)?;
         fe = FrontEnd::restore(
@@ -333,38 +683,39 @@ fn run_with<O: Observer>(
             snapshot::field(body, "fe")?,
         )?;
         mshrs = MshrFile::from_wire(snapshot::field(body, "mshrs")?)?;
-        rob = snapshot::field(body, "rob")?
-            .as_arr()
-            .ok_or(SnapshotError::Bad("rob"))?
-            .iter()
-            .map(|j| decode_entry(program, &cache, cfg, j))
-            .collect::<Result<_, _>>()?;
-        rob_base = snapshot::get_u64(body, "rob_base")?;
-        fetch_q = snapshot::field(body, "fetch_q")?
-            .as_arr()
-            .ok_or(SnapshotError::Bad("fetch_q"))?
-            .iter()
-            .map(|j| ckpt::decode_fetched(program, j))
-            .collect::<Result<_, _>>()?;
+        rob = Rob::new(snapshot::get_u64(body, "rob_base")?);
+        window = VecDeque::with_capacity(SLOTS + 3 * cfg.issue_width as usize);
+        for j in snapshot::field(body, "rob")?.as_arr().ok_or(SnapshotError::Bad("rob"))? {
+            let f = decode_entry(program, &cache, cfg, &mut rob, j)?;
+            window.push_back(f);
+        }
+        rob.len = window.len();
+        for j in snapshot::field(body, "fetch_q")?.as_arr().ok_or(SnapshotError::Bad("fetch_q"))? {
+            window.push_back(ckpt::decode_fetched(program, j)?);
+        }
         let lw = snapshot::get_arr(body, "last_writer", |j| match j {
-            Json::Null => Ok(None),
-            Json::Str(s) => {
-                u64::from_str_radix(s, 16).map(Some).map_err(|_| SnapshotError::Bad("last_writer"))
-            }
+            Json::Null => Ok(NONE),
+            Json::Str(s) => match u64::from_str_radix(s, 16) {
+                Ok(w) if w != NONE => Ok(w),
+                _ => Err(SnapshotError::Bad("last_writer")),
+            },
             _ => Err(SnapshotError::Bad("last_writer")),
         })?;
         if lw.len() != 64 {
             return Err(SnapshotError::Bad("last_writer").into());
         }
-        last_writer = [None; 64];
+        last_writer = [NONE; 64];
         for (slot, w) in last_writer.iter_mut().zip(lw) {
             *slot = w;
         }
-        check_window(cfg, &rob, rob_base, &fetch_q, fe.next_seq(), &last_writer)?;
+        check_window(cfg, &rob, &window, fe.next_seq(), &last_writer)?;
         // An older data reference has graduated, which readies its
         // condition-code consumers anyway.
-        last_data_ref =
-            rob.iter().rev().find(|e| e.m.flags & InstrMeta::DATA_REF != 0).map(|e| e.f.seq);
+        last_data_ref = window
+            .range(..rob.len)
+            .rev()
+            .find(|f| rob.meta[slot(f.seq)].flags & InstrMeta::DATA_REF != 0)
+            .map(|f| f.seq);
         resolve_q = ckpt::decode_wakeup(snapshot::field(body, "resolve_q")?, "resolve_q", Ok)?;
         ckpt_release_q = ckpt::decode_wakeup(
             snapshot::field(body, "ckpt_release_q")?,
@@ -385,11 +736,20 @@ fn run_with<O: Observer>(
         }
         wb_release = ReleasePool::restore(releases);
         now = snapshot::get_u64(body, "now")?;
-        // Instructions graduate in sequence order, so the ROB head's seq
-        // counts them.
-        graduated_total = rob_base;
         slots = ckpt::decode_slots(snapshot::field(body, "slots")?)?;
         cpi = ckpt::decode_cpi(snapshot::field(body, "cpi")?)?;
+        // Counts, bounds and wakeup words are not on the wire: rebuild them
+        // in ROB order, as dispatch built them. A pause falls before this
+        // cycle's graduation, which dispatch had already seen.
+        if fast {
+            rob.issue_due = u64::MAX;
+            for f in window.range(..rob.len) {
+                let s = slot(f.seq);
+                if rob.waiting & (1 << s) != 0 {
+                    rob.link(s, f.fetch_cycle + cfg.frontend_depth, now.saturating_sub(1));
+                }
+            }
+        }
     } else {
         hier = MemoryHierarchy::new(cfg.hier);
         fe = FrontEnd::new(
@@ -400,12 +760,11 @@ fn run_with<O: Observer>(
             cfg.hier.l1i.line_bytes,
         );
         mshrs = MshrFile::new(cfg.hier.mshrs, cfg.mshr_mode);
-        rob = VecDeque::with_capacity(cfg.rob_entries as usize);
-        rob_base = 0;
-        // Fetch runs below `2 × issue_width` queued and adds at most
-        // `issue_width`.
-        fetch_q = VecDeque::with_capacity(3 * cfg.issue_width as usize);
-        last_writer = [None; 64];
+        rob = Rob::new(0);
+        // Fetch runs below `2 × issue_width` undispatched handles and adds
+        // at most `issue_width`.
+        window = VecDeque::with_capacity(SLOTS + 3 * cfg.issue_width as usize);
+        last_writer = [NONE; 64];
         last_data_ref = None;
         // Structural bounds: at most one pending resolution / shadow
         // checkpoint per ROB entry, one fill per MSHR.
@@ -415,12 +774,11 @@ fn run_with<O: Observer>(
         checkpoints_in_use = 0;
         wb_release = ReleasePool::new(cfg.write_buffer as usize);
         now = 0;
-        graduated_total = 0;
         slots = SlotBreakdown::default();
         cpi = CpiStack::default();
     }
 
-    // Programs without condition-code branches never create `Dep::Outcome`
+    // Programs without condition-code branches never create condition-code
     // edges, so their wakeup horizon can skip the per-entry outcome-cycle
     // candidates (the common case on the figure 2/3 trap schemes).
     let has_cc_consumers =
@@ -429,116 +787,22 @@ fn run_with<O: Observer>(
     let width = cfg.issue_width as u64;
     let mut done = false;
 
-    // Fast mode: event-driven runs — observed, traced or not — fetch plain
-    // runs in batches and wake consumers instead of polling them.
-    // Tick-accurate runs are the unchanged bit-identity reference.
-    let fast = !limits.force_tick_accurate;
-
-    // ROB occupancy masks (fast mode, ROBs that fit a word): bit `i` of
-    // `waiting_mask`/`issued_mask` set ⇔ `rob[i]` is Waiting/Issued. The
-    // complete and issue stages then visit only the entries that can act,
-    // instead of scanning the whole ROB every cycle. Masks shift with
-    // `pop_front` and are rebuilt from the decoded ROB on resume.
-    let masks_on = fast && cfg.rob_entries as usize <= 64;
-    let mut waiting_mask: u64 = 0;
-    let mut issued_mask: u64 = 0;
-    // Wakeup lists (fast mode): a Waiting entry whose dependency walk meets
-    // a producer that is still Waiting parks — bit `i` of `parked_mask`
-    // (ROB position) and bit `c_seq & 63` of the producer's word
-    // `waiters[p_seq & 63]`. Only the issue stage moves an entry out of
-    // Waiting, so a parked consumer stays blocked until that producer
-    // issues, and the producer's issue drains its word. Select skips parked
-    // entries. Parks start empty on resume: every entry re-parks on its
-    // first walk, so they live outside the checkpoint like the hints.
-    let mut parked_mask: u64 = 0;
-    let mut waiters = [0u64; 64];
-    if masks_on {
-        for (i, e) in rob.iter().enumerate() {
-            match e.state {
-                EState::Waiting => waiting_mask |= 1 << i,
-                EState::Issued => issued_mask |= 1 << i,
-                EState::Complete => {}
-            }
-        }
-    }
-    // Issue-stall hints (fast mode): slot `seq & 63` holds a provable lower
-    // bound on the cycle at which that entry could first pass the issue
-    // checks, so the issue stage skips its dependency walk until then. Seqs
-    // are contiguous and the ROB holds at most 64 entries, so live seqs never
-    // collide; dispatch resets the slot. All-zero (recheck immediately) is
-    // always safe, which is why the hints live outside the checkpoint.
-    let mut issue_hints = [0u64; 64];
-
     // Issue slots per functional-unit class, indexed by `InstrMeta::fu`.
     let fu_limit = [cfg.int_units, cfg.fp_units, cfg.branch_units, cfg.mem_units];
-
-    // Earliest cycle at which `dep` can possibly become ready: 0 when it is
-    // ready now, a provable future lower bound otherwise. Readiness means the
-    // producer has graduated (left the ROB), or — for value deps — completed
-    // by `now`, or — for outcome deps — left `Waiting` with its
-    // `outcome_cycle` due. `bound <= now` is exactly that predicate, and a
-    // future bound is a pure filter for the issue stage: re-evaluating at or
-    // after it gives the truth, so skipping the dep walk before it is exact.
-    //
-    // * A `Waiting` producer cannot ready a consumer until it issues
-    //   (issuing yields completion/outcome cycles strictly in the future,
-    //   and graduation requires completion first), so no cycle is a bound:
-    //   `UNISSUED`, on which the issue stage parks the consumer.
-    // * An `Issued` producer's `complete_cycle`/`outcome_cycle` are fixed at
-    //   issue; during the issue stage they are strictly future (stage 3
-    //   already retired anything due). Graduation — which also readies
-    //   outcome consumers — cannot precede `complete_cycle + 1`.
-    // * A `Complete` producer may still leave the ROB next cycle, readying
-    //   an outcome consumer before `outcome_cycle`, so only `now + 1` is
-    //   provable there.
-    const UNISSUED: u64 = u64::MAX;
-    let dep_bound = |rob: &VecDeque<Entry>, rob_base: u64, dep: Dep, now: u64| -> u64 {
-        let (seq, outcome) = match dep {
-            Dep::Value(s) => (s, false),
-            Dep::Outcome(s) => (s, true),
-        };
-        if seq < rob_base {
-            return 0;
-        }
-        match rob.get((seq - rob_base) as usize) {
-            None => 0,
-            Some(p) => match p.state {
-                EState::Waiting => UNISSUED,
-                EState::Issued => {
-                    if outcome {
-                        p.outcome_cycle.min(p.complete_cycle + 1)
-                    } else {
-                        p.complete_cycle
-                    }
-                }
-                EState::Complete => {
-                    if outcome && p.outcome_cycle > now {
-                        p.outcome_cycle.min(now + 1)
-                    } else {
-                        0
-                    }
-                }
-            },
-        }
-    };
 
     // CPI-stack classification for a cycle that graduates nothing. The trap
     // check precedes the memory checks so the handler-redirect bubbles land
     // in `Handler` (the paper's informing overhead) even when the trapping
     // load is also the miss-blocked ROB head.
-    let classify = |rob: &VecDeque<Entry>, fe: &FrontEnd| -> CpiCategory {
+    let classify = |rob: &Rob, window: &VecDeque<Fetched>, fe: &FrontEnd| -> CpiCategory {
         if fe.blocked_on_trap() {
             return CpiCategory::Handler;
         }
-        if let Some(h) = rob.front() {
-            if h.state != EState::Complete && h.m.flags & InstrMeta::DATA_REF != 0 {
-                if let Some(p) = h.f.probe() {
-                    match p.level {
-                        HitLevel::L2 => return CpiCategory::L1Miss,
-                        HitLevel::Memory => return CpiCategory::L2Miss,
-                        HitLevel::L1 => {}
-                    }
-                }
+        if rob.head_is_miss_stall(window) {
+            match window[0].probe().map(|p| p.level) {
+                Some(HitLevel::L2) => return CpiCategory::L1Miss,
+                Some(HitLevel::Memory) => return CpiCategory::L2Miss,
+                _ => {}
             }
         }
         CpiCategory::IssueStall
@@ -556,8 +820,7 @@ fn run_with<O: Observer>(
                     &fe,
                     &mshrs,
                     &rob,
-                    rob_base,
-                    &fetch_q,
+                    &window,
                     &last_writer,
                     &resolve_q,
                     &ckpt_release_q,
@@ -571,6 +834,10 @@ fn run_with<O: Observer>(
                 ),
             });
         }
+        debug_assert!(rob.len <= cfg.rob_entries as usize, "ROB occupancy");
+        debug_assert!(window.len() - rob.len < 3 * cfg.issue_width as usize, "fetched tail");
+        debug_assert_eq!(rob.waiting & rob.issued, 0, "Waiting and Issued are exclusive");
+        debug_assert!(!fast || rob.parked & !rob.waiting == 0, "only Waiting entries park");
 
         let mut progress = false;
 
@@ -584,81 +851,45 @@ fn run_with<O: Observer>(
         }
 
         // ---- 2. Graduate ----
-        let mut g: u64 = 0;
-        while g < width {
-            let Some(head) = rob.front() else { break };
-            if head.state != EState::Complete {
+        let mut g = 0;
+        while g < width && rob.len > 0 {
+            let h = slot(rob.base);
+            if !rob.is_complete(h) {
                 break;
             }
+            let m = rob.meta[h];
             // Stores drain through the write buffer at graduation. Any free
             // slot is as good as any other, so the pool hands out the
             // earliest-released one (see `ReleasePool`).
-            if head.m.kind == InstrMeta::KIND_STORE {
+            if m.kind == InstrMeta::KIND_STORE {
                 if !wb_release.has_free(now) {
                     break; // write buffer full: stall graduation
                 }
-                let probe = head.f.probe().expect("stores probe the cache");
+                let probe = window[0].probe().expect("stores probe the cache");
                 let t = hier.schedule_data(probe, now);
                 wb_release.acquire_until(now, t.complete);
             }
-            let e = rob.pop_front().expect("front exists");
-            rob_base = e.f.seq + 1;
-            // A graduating head is Complete, so its mask bits are clear and
-            // the shift drops exactly its slot.
-            waiting_mask >>= 1;
-            issued_mask >>= 1;
-            parked_mask >>= 1;
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.push(InstrTrace {
-                    seq: e.f.seq,
-                    pc: e.f.pc(),
-                    instr: program.instrs()[e.f.idx as usize],
-                    fetch: e.f.fetch_cycle,
-                    dispatch: e.dispatch_cycle,
-                    issue: e.issue_cycle,
-                    complete: e.complete_cycle,
-                    graduate: now,
-                });
-            }
-            if let Some(id) = e.mshr {
+            let f = window.pop_front().expect("the ROB is not empty");
+            rob.note_graduation(h, &f, now, program, &mut trace, obs);
+            rob.base += 1;
+            rob.len -= 1;
+            if let Some(id) = rob.mshr[h] {
                 mshrs.graduate(id);
             }
-            if O::ON {
-                obs.record(now, EventKind::Graduate { seq: e.f.seq });
-                if matches!(program.instrs()[e.f.idx as usize], Instr::JumpMhrr) {
-                    obs.record(now, EventKind::TrapReturn { seq: e.f.seq });
-                }
-                if e.m.kind == InstrMeta::KIND_LOAD && e.issue_cycle != u64::MAX {
-                    obs.observe("cpu.load_to_use", e.complete_cycle.saturating_sub(e.issue_cycle));
-                }
-                if e.f.informing_trap {
-                    let resolved =
-                        if e.f.resolve == Resolve::AtGraduate { now } else { e.outcome_cycle };
-                    obs.observe("cpu.trap_redirect", resolved.saturating_sub(e.f.fetch_cycle));
-                }
+            if f.resolve == Resolve::AtGraduate {
+                fe.resolve(f.seq, now, cfg.redirect_penalty);
             }
-            if e.f.resolve == Resolve::AtGraduate {
-                fe.resolve(e.f.seq, now, cfg.redirect_penalty);
-            }
-            if e.m.kind == InstrMeta::KIND_HALT {
-                done = true;
-            }
-            graduated_total += 1;
             g += 1;
             progress = true;
-            if done {
+            if m.kind == InstrMeta::KIND_HALT {
+                done = true;
                 break;
             }
         }
         slots.busy += g;
         if g < width && !done {
             let lost = width - g;
-            let head_is_miss_stall = rob.front().is_some_and(|h| {
-                h.state != EState::Complete
-                    && h.m.flags & InstrMeta::DATA_REF != 0
-                    && h.f.probe().is_some_and(|p| p.level.is_l1_miss())
-            });
-            if head_is_miss_stall {
+            if rob.head_is_miss_stall(&window) {
                 slots.cache_stall += lost;
             } else {
                 slots.other_stall += lost;
@@ -671,7 +902,7 @@ fn run_with<O: Observer>(
             if g > 0 {
                 cpi.add(CpiCategory::Base, 1);
             } else {
-                cpi.add(classify(&rob, &fe), 1);
+                cpi.add(classify(&rob, &window, &fe), 1);
             }
         }
 
@@ -680,25 +911,20 @@ fn run_with<O: Observer>(
         }
 
         // ---- 3. Complete ----
-        if masks_on {
-            let mut m = issued_mask;
+        if rob.next_complete <= now {
+            let mut next = u64::MAX;
+            let mut m = rob.issued;
             while m != 0 {
-                let i = m.trailing_zeros() as usize;
+                let s = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let e = &mut rob[i];
-                if e.complete_cycle <= now {
-                    e.state = EState::Complete;
-                    issued_mask &= !(1u64 << i);
+                if rob.complete[s] <= now {
+                    rob.issued &= !(1u64 << s);
                     progress = true;
+                } else {
+                    next = next.min(rob.complete[s]);
                 }
             }
-        } else {
-            for e in rob.iter_mut() {
-                if e.state == EState::Issued && e.complete_cycle <= now {
-                    e.state = EState::Complete;
-                    progress = true;
-                }
-            }
+            rob.next_complete = next;
         }
 
         // ---- 4. Checkpoint releases ----
@@ -715,225 +941,196 @@ fn run_with<O: Observer>(
 
         // ---- 6. Issue (oldest-ready-first within FU limits) ----
         let mut fu_used = [0u32; 4];
-        // With masks on, visit only Waiting entries that are not parked
-        // (ascending index, same order as the full scan); otherwise walk the
-        // whole ROB.
-        let mut wscan = waiting_mask & !parked_mask;
-        let mut iscan = 0usize;
-        loop {
-            let i = if masks_on {
-                if wscan == 0 {
-                    break;
+        if fast {
+            // An entry whose count is 0 and whose bound is due issues
+            // without a dependency walk.
+            if rob.issue_due <= now {
+                let base = rob.base;
+                let rot = slot(base) as u32;
+                // First find the unparked Waiting entries whose bound is
+                // due, in ROB order (masks rotated so bit `pos` is ROB
+                // position `pos`), and the earliest bound of the others.
+                let mut scan = (rob.waiting & !rob.parked).rotate_right(rot);
+                let (mut ready, mut due) = (0u64, u64::MAX);
+                while scan != 0 {
+                    let pos = scan.trailing_zeros();
+                    scan &= scan - 1;
+                    let ready_at = rob.ready_at[slot(base + u64::from(pos))];
+                    let later = ready_at > now;
+                    ready |= u64::from(!later) << pos;
+                    due = due.min(if later { ready_at } else { u64::MAX });
                 }
-                let i = wscan.trailing_zeros() as usize;
-                wscan &= wscan - 1;
-                if issue_hints[((rob_base + i as u64) & 63) as usize] > now {
-                    continue; // provably cannot issue yet: skip the dep walk
-                }
-                i
-            } else {
-                if iscan >= rob.len() {
-                    break;
-                }
-                iscan += 1;
-                iscan - 1
-            };
-            // Evaluate the issue conditions. A producer that has not issued
-            // blocks the entry until it does: fast mode parks the entry on
-            // that producer's wakeup list. When a timing condition fails,
-            // record the provable lower bound so later cycles skip the walk.
-            let e = &rob[i];
-            if e.state != EState::Waiting {
-                continue;
-            }
-            let mut bound = e.f.fetch_cycle + cfg.frontend_depth;
-            let mut blocker = None;
-            for &d in e.deps.iter().flatten() {
-                match dep_bound(&rob, rob_base, d, now) {
-                    UNISSUED => {
-                        blocker = Some(d.seq());
-                        break;
+                while ready != 0 {
+                    let pos = ready.trailing_zeros() as usize;
+                    ready &= ready - 1;
+                    let s = slot(base + pos as u64);
+                    let mut ready_at = rob.ready_at[s];
+                    if rob.outcome_consumers & (1 << s) != 0 {
+                        // Recheck: a condition code may be ready later than
+                        // the bound, or — its producer graduating — earlier.
+                        ready_at = ready_at.max(rob.sources_bound(s, now));
+                        debug_assert_ne!(ready_at, UNISSUED, "counted producers have issued");
+                        rob.ready_at[s] = ready_at;
+                        if ready_at > now {
+                            due = due.min(ready_at);
+                            continue;
+                        }
                     }
-                    b => bound = bound.max(b),
-                }
-            }
-            if let Some(p) = blocker {
-                if masks_on {
-                    waiters[(p & 63) as usize] |= 1u64 << (e.f.seq & 63);
-                    parked_mask |= 1u64 << i;
-                }
-                continue;
-            }
-            if bound > now {
-                if masks_on {
-                    issue_hints[(e.f.seq & 63) as usize] = bound;
-                }
-                continue;
-            }
-            let m = e.m;
-            let fu = m.fu as usize;
-            if fu_used[fu] >= fu_limit[fu] {
-                continue; // structural hazards clear next cycle: no useful bound
-            }
-            fu_used[fu] += 1;
-            progress = true;
-
-            let (complete, outcome, alloc_mshr) = match m.kind {
-                InstrMeta::KIND_LOAD => {
-                    let probe = e.f.probe().expect("loads probe");
-                    let t = hier.schedule_data(probe, now);
-                    let outcome = t.start + cfg.hier.l1_latency;
-                    (
-                        t.complete,
-                        outcome,
-                        probe.level.is_l1_miss().then_some((probe.line, t.complete)),
-                    )
-                }
-                InstrMeta::KIND_PREFETCH => {
-                    if let Some(probe) = e.f.probe() {
-                        let _ = hier.schedule_data(probe, now);
+                    let fu = rob.meta[s].fu as usize;
+                    if fu_used[fu] >= fu_limit[fu] {
+                        // Structural hazards clear next cycle.
+                        due = due.min(ready_at);
+                        continue;
                     }
-                    (now + 1, now + 1, None)
-                }
-                InstrMeta::KIND_STORE => {
-                    // Address generation now; the cache is probed at
-                    // graduation. The outcome (for the condition code) is
-                    // known after an early tag probe.
-                    (now + 1, now + cfg.hier.l1_latency, None)
-                }
-                _ => {
-                    let lat = u64::from(m.lat);
-                    (now + lat, now + lat, None)
-                }
-            };
-            if masks_on {
-                waiting_mask &= !(1u64 << i);
-                issued_mask |= 1u64 << i;
-                // Wake this producer's parked consumers. `min(complete,
-                // outcome)` bounds both dependency kinds from below (see
-                // `dep_bound`), so it seeds their hints. A consumer sits at
-                // a higher ROB index than its producer, so it joins the rest
-                // of this cycle's scan, as the polling scan would visit it.
-                let mut woken = std::mem::take(&mut waiters[(e.f.seq & 63) as usize]);
-                while woken != 0 {
-                    let c_slot = woken.trailing_zeros() as u64;
-                    woken &= woken - 1;
-                    // The ROB spans at most 64 contiguous seqs, so the
-                    // consumer's seq residue gives its position.
-                    let c = (c_slot.wrapping_sub(rob_base) & 63) as usize;
-                    parked_mask &= !(1u64 << c);
-                    wscan |= 1u64 << c;
-                    issue_hints[c_slot as usize] = complete.min(outcome);
-                }
-            }
-            let e = &mut rob[i];
-            e.state = EState::Issued;
-            e.issue_cycle = now;
-            e.complete_cycle = complete;
-            e.outcome_cycle = outcome;
-            obs.record(now, EventKind::Issue { seq: e.f.seq });
-            if let Some((line, fill)) = alloc_mshr {
-                let fresh = mshrs.find(line).is_none();
-                if let Some(id) = mshrs.allocate(line) {
-                    e.mshr = Some(id);
-                    if fresh {
-                        fills.push(fill, id);
-                        obs.record(now, EventKind::MshrAllocate { line });
-                    } else {
-                        obs.record(now, EventKind::MshrMerge { line });
+                    fu_used[fu] += 1;
+                    progress = true;
+                    let (complete, outcome) = rob.issue(
+                        s,
+                        &window[pos],
+                        now,
+                        cfg,
+                        ckpt_flags,
+                        &mut hier,
+                        &mut mshrs,
+                        &mut fills,
+                        &mut ckpt_release_q,
+                        &mut resolve_q,
+                        obs,
+                    );
+                    // Wake this producer's waiters. A value is ready at
+                    // `complete`; `min(complete, outcome)` bounds a
+                    // condition code from below (see `dep_bound`). A
+                    // consumer sits after its producer in ROB order, so one
+                    // whose count reaches 0 and whose bound is due joins the
+                    // rest of this pass, as the polling scan would visit it.
+                    let mut woken = std::mem::take(&mut rob.waiters[s]);
+                    while woken != 0 {
+                        let c = woken.trailing_zeros() as usize;
+                        woken &= woken - 1;
+                        let bit = 1u64 << c;
+                        let value = if rob.outcome_consumers & bit != 0 {
+                            complete.min(outcome)
+                        } else {
+                            complete
+                        };
+                        rob.ready_at[c] = rob.ready_at[c].max(value);
+                        rob.pending[c] -= 1;
+                        if rob.pending[c] == 0 {
+                            rob.parked &= !bit;
+                            if rob.ready_at[c] <= now {
+                                ready |= bit.rotate_right(rot);
+                            } else {
+                                due = due.min(rob.ready_at[c]);
+                            }
+                        }
+                        debug_assert!(rob.wakeups_consistent(c));
                     }
                 }
+                rob.issue_due = due;
             }
-            if m.flags & ckpt_flags != 0 {
-                ckpt_release_q.push(e.outcome_cycle, ());
-            }
-            if e.f.resolve == Resolve::AtExecute {
-                resolve_q.push_keyed(e.outcome_cycle, e.f.seq, e.f.seq);
+        } else {
+            // The polling reference: walk every Waiting entry's sources
+            // every cycle.
+            for f in window.range(..rob.len) {
+                let s = slot(f.seq);
+                if rob.waiting & (1 << s) == 0 {
+                    continue;
+                }
+                let bound = (f.fetch_cycle + cfg.frontend_depth).max(rob.sources_bound(s, now));
+                if bound > now {
+                    continue; // includes an unissued producer (`UNISSUED`)
+                }
+                let fu = rob.meta[s].fu as usize;
+                if fu_used[fu] >= fu_limit[fu] {
+                    continue;
+                }
+                fu_used[fu] += 1;
+                progress = true;
+                rob.issue(
+                    s,
+                    f,
+                    now,
+                    cfg,
+                    ckpt_flags,
+                    &mut hier,
+                    &mut mshrs,
+                    &mut fills,
+                    &mut ckpt_release_q,
+                    &mut resolve_q,
+                    obs,
+                );
             }
         }
 
         // ---- 7. Dispatch ----
         let mut d = 0;
-        while d < cfg.issue_width {
-            if rob.len() >= cfg.rob_entries as usize {
-                break;
-            }
-            let Some(f) = fetch_q.front() else { break };
+        let mut undispatched = window.range(rob.len..);
+        while d < cfg.issue_width && rob.len < cfg.rob_entries as usize {
+            let Some(f) = undispatched.next() else { break };
             let m = *cache.meta_idx(f.idx as usize);
             let needs_ckpt = m.flags & ckpt_flags != 0;
             if needs_ckpt && checkpoints_in_use >= cfg.max_checkpoints {
                 break;
             }
-            let f = fetch_q.pop_front().expect("front exists");
             if needs_ckpt {
                 checkpoints_in_use += 1;
             }
-            let mut deps: [Option<Dep>; 3] = [None; 3];
-            let mut n = 0;
-            for src in [m.src1, m.src2] {
-                if src == NO_REG {
-                    continue;
-                }
-                if let Some(seq) = last_writer[src as usize] {
-                    deps[n] = Some(Dep::Value(seq));
-                    n += 1;
-                }
-            }
-            if m.flags & (InstrMeta::BMISS | InstrMeta::BMISS_MEM) != 0 {
-                // A producer that has left the ROB is ready: no edge.
-                if let Some(cc) = last_data_ref.filter(|&s| s >= rob_base) {
-                    deps[n] = Some(Dep::Outcome(cc));
-                }
-            }
+            let (seq, floor) = (f.seq, f.fetch_cycle + cfg.frontend_depth);
+            debug_assert_eq!(seq, rob.base + rob.len as u64, "seq contiguity");
+            let s = slot(seq);
+            let writer = |r: u8| if r == NO_REG { NONE } else { last_writer[r as usize] };
+            // A condition-code producer that has left the ROB is ready: no
+            // edge.
+            let cc = if m.flags & (InstrMeta::BMISS | InstrMeta::BMISS_MEM) != 0 {
+                last_data_ref.filter(|&p| p >= rob.base).unwrap_or(NONE)
+            } else {
+                NONE
+            };
+            rob.producers[s] = [writer(m.src1), writer(m.src2), cc];
             if m.flags & InstrMeta::DATA_REF != 0 {
-                last_data_ref = Some(f.seq);
+                last_data_ref = Some(seq);
             }
             if m.dest != NO_REG {
-                last_writer[m.dest as usize] = Some(f.seq);
+                last_writer[m.dest as usize] = seq;
             }
-            debug_assert_eq!(f.seq, rob_base + rob.len() as u64, "seq contiguity");
-            if masks_on {
-                waiting_mask |= 1u64 << rob.len();
-                issue_hints[(f.seq & 63) as usize] = 0;
-                waiters[(f.seq & 63) as usize] = 0;
+            rob.meta[s] = m;
+            rob.complete[s] = u64::MAX;
+            rob.outcome[s] = u64::MAX;
+            rob.mshr[s] = None;
+            rob.dispatch[s] = now;
+            rob.issue[s] = u64::MAX;
+            rob.waiting |= 1 << s;
+            rob.len += 1;
+            if fast {
+                rob.waiters[s] = 0;
+                rob.link(s, floor, now);
             }
-            rob.push_back(Entry {
-                f,
-                m,
-                state: EState::Waiting,
-                deps,
-                complete_cycle: u64::MAX,
-                outcome_cycle: u64::MAX,
-                mshr: None,
-                dispatch_cycle: now,
-                issue_cycle: u64::MAX,
-            });
             d += 1;
             progress = true;
         }
 
         // ---- 8. Fetch ----
-        if fetch_q.len() < 2 * cfg.issue_width as usize {
-            let before = fetch_q.len();
+        if window.len() - rob.len < 2 * cfg.issue_width as usize {
+            let before = window.len();
             if fast {
                 if fe.fetch_ready(now) {
-                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fetch_q, obs)?;
+                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut window, obs)?;
                 }
             } else {
-                fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_q, obs)?;
+                fe.fetch(now, cfg.issue_width, &mut hier, &mut window, obs)?;
             }
-            if fetch_q.len() > before {
+            if window.len() > before {
                 progress = true;
             }
         }
 
         // ---- 9. Termination / limits ----
-        if fe.halted() && rob.is_empty() && fetch_q.is_empty() {
+        if fe.halted() && window.is_empty() {
             // Halt graduated in a previous iteration (done flag), or the
             // program ended in an unusual state; either way we are finished.
             break;
         }
-        if graduated_total >= limits.max_instructions {
+        if rob.base >= limits.max_instructions {
             return Err(SimError::InstructionLimit(limits.max_instructions));
         }
         if now >= limits.max_cycles {
@@ -948,26 +1145,29 @@ fn run_with<O: Observer>(
             // anything at or before `now` is not a wake-up source (it
             // already had its chance this cycle).
             let mut h = Horizon::new(now);
-            for e in rob.iter() {
-                match e.state {
-                    // `outcome_cycle` can precede completion (a miss's early
-                    // tag probe) or follow it (a store's tag probe after its
-                    // 1-cycle address generation); either way it readies
-                    // `Dep::Outcome` consumers, so when the program has
-                    // condition-code branches it is a wake-up source of its
-                    // own.
-                    EState::Issued => {
-                        h.consider(e.complete_cycle);
-                        if has_cc_consumers {
-                            h.consider(e.outcome_cycle);
-                        }
+            if fast {
+                // A parked entry cannot issue before its producers do, so
+                // the unparked entries' bounds cover every Waiting entry.
+                h.consider(rob.issue_due);
+                h.consider(rob.next_complete);
+            } else {
+                for f in window.range(..rob.len) {
+                    let s = slot(f.seq);
+                    if rob.waiting & (1 << s) != 0 {
+                        h.consider(f.fetch_cycle + cfg.frontend_depth);
+                    } else if rob.issued & (1 << s) != 0 {
+                        h.consider(rob.complete[s]);
                     }
-                    EState::Waiting => h.consider(e.f.fetch_cycle + cfg.frontend_depth),
-                    EState::Complete => {
-                        if has_cc_consumers {
-                            h.consider(e.outcome_cycle);
-                        }
-                    }
+                }
+            }
+            if has_cc_consumers {
+                // `outcome` can precede completion (a miss's early tag
+                // probe) or follow it (a store's tag probe after its 1-cycle
+                // address generation); either way it readies condition-code
+                // consumers, so it is a wake-up source of its own. A Waiting
+                // entry's is `u64::MAX`, which no horizon takes.
+                for f in window.range(..rob.len) {
+                    h.consider(rob.outcome[slot(f.seq)]);
                 }
             }
             h.consider_opt(resolve_q.next_due());
@@ -976,9 +1176,10 @@ fn run_with<O: Observer>(
             if !fe.halted() && fe.blocked_on().is_none() {
                 h.consider(fe.resume_at());
             }
-            if rob.front().is_some_and(|hd| {
-                hd.state == EState::Complete && hd.m.kind == InstrMeta::KIND_STORE
-            }) {
+            if rob.len > 0
+                && rob.is_complete(slot(rob.base))
+                && rob.meta[slot(rob.base)].kind == InstrMeta::KIND_STORE
+            {
                 // Graduation blocked on the write buffer.
                 h.consider_opt(wb_release.next_release());
             }
@@ -996,12 +1197,7 @@ fn run_with<O: Observer>(
                 // Attribute the skipped slots exactly as the per-cycle
                 // accounting would have.
                 let lost = skipped * width;
-                let head_is_miss_stall = rob.front().is_some_and(|hd| {
-                    hd.state != EState::Complete
-                        && hd.m.flags & InstrMeta::DATA_REF != 0
-                        && hd.f.probe().is_some_and(|p| p.level.is_l1_miss())
-                });
-                if head_is_miss_stall {
+                if rob.head_is_miss_stall(&window) {
                     slots.cache_stall += lost;
                 } else {
                     slots.other_stall += lost;
@@ -1009,7 +1205,7 @@ fn run_with<O: Observer>(
                 if O::ON {
                     // The skipped cycles would each have graduated nothing
                     // with this exact (frozen) machine state.
-                    cpi.add(classify(&rob, &fe), skipped);
+                    cpi.add(classify(&rob, &window, &fe), skipped);
                 }
             }
             now = next;
@@ -1026,7 +1222,7 @@ fn run_with<O: Observer>(
 
     let result = RunResult {
         cycles,
-        instructions: graduated_total,
+        instructions: rob.base,
         slots,
         informing_traps: fe.informing_traps(),
         mispredictions: fe.mispredictions(),
@@ -1285,6 +1481,77 @@ mod tests {
             "bmiss issued at {bmiss}, before the load's outcome ({load} + {})",
             cfg.hier.l1_latency
         );
+    }
+
+    /// Runs `p` traced, event-driven and tick-accurate; the two must agree
+    /// on the result and on every instruction's pipeline timing.
+    fn traced_both_ways(p: &Program) -> Vec<InstrTrace> {
+        let cfg = OooConfig::paper();
+        let (ev, ev_trace) = simulate_traced(p, &cfg, RunLimits::default()).expect("event run");
+        let (tk, tk_trace) =
+            simulate_traced(p, &cfg, RunLimits::tick_accurate()).expect("tick-accurate run");
+        assert_eq!(ev, tk);
+        assert!(ev_trace == tk_trace, "pipeline traces differ");
+        ev_trace
+    }
+
+    /// The trace of the first graduated instruction matching `want`.
+    fn traced(traces: &[InstrTrace], want: fn(&Instr) -> bool) -> InstrTrace {
+        traces.iter().find(|t| want(&t.instr)).cloned().expect("graduated")
+    }
+
+    #[test]
+    fn consumer_naming_one_unissued_producer_twice_issues_at_its_completion() {
+        // The add dispatches with the missing load still Waiting and names
+        // it through both sources: one producer, counted once.
+        let mut a = Asm::new();
+        a.li(r(10), 0x40_0000);
+        a.load(r(1), r(10), 0);
+        a.add(r(3), r(1), r(1));
+        a.halt();
+        let p = a.assemble().unwrap();
+        let traces = traced_both_ways(&p);
+        let load = traced(&traces, |i| matches!(i, Instr::Load { .. }));
+        let add = traced(&traces, |i| matches!(i, Instr::Add { .. }));
+        assert_eq!(add.dispatch, load.dispatch, "both wait at dispatch together");
+        assert!(load.complete > load.issue + 10, "the load misses: {load:?}");
+        assert_eq!(add.issue, load.complete, "the add issues when its value is ready");
+    }
+
+    #[test]
+    fn consumer_of_two_loads_issues_at_the_later_completion() {
+        // The first load misses to memory; the second issues later but hits
+        // the line an earlier load fetched, so it completes first.
+        let mut a = Asm::new();
+        a.li(r(10), 0x40_0000);
+        a.li(r(11), 0x80_0000);
+        a.load(r(5), r(11), 0);
+        a.load(r(1), r(10), 0);
+        a.load(r(2), r(11), 8);
+        a.add(r(3), r(1), r(2));
+        a.halt();
+        let p = a.assemble().unwrap();
+        let traces = traced_both_ways(&p);
+        let loads: Vec<InstrTrace> =
+            traces.iter().filter(|t| matches!(t.instr, Instr::Load { .. })).cloned().collect();
+        let (slow, fast) = (&loads[1], &loads[2]);
+        let add = traced(&traces, |i| matches!(i, Instr::Add { .. }));
+        assert!(fast.issue > slow.issue && fast.complete < slow.complete, "{slow:?} {fast:?}");
+        assert!(add.dispatch <= slow.issue, "the add waits on both loads unissued");
+        assert_eq!(add.issue, slow.complete, "the add issues at the later completion");
+    }
+
+    #[test]
+    fn a_reorder_buffer_wider_than_the_slot_arrays_is_rejected() {
+        let mut a = Asm::new();
+        a.halt();
+        let p = a.assemble().unwrap();
+        let mut cfg = OooConfig::paper();
+        cfg.rob_entries = 65;
+        let err = Machine::OutOfOrder(cfg).run(&p).unwrap_err();
+        assert_eq!(err, SimError::RobTooLarge { entries: 65 });
+        cfg.rob_entries = 64;
+        assert!(Machine::OutOfOrder(cfg).run(&p).is_ok());
     }
 
     #[test]

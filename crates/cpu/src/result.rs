@@ -163,6 +163,12 @@ pub enum SimError {
     /// A checkpoint could not be decoded or does not match this session's
     /// program/configuration.
     Checkpoint(imo_util::snapshot::SnapshotError),
+    /// The out-of-order configuration asks for a reorder buffer larger than
+    /// the 64 entries the core tracks (the paper's has 32).
+    RobTooLarge {
+        /// The configured `rob_entries`.
+        entries: u32,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -173,6 +179,9 @@ impl fmt::Display for SimError {
             SimError::CycleLimit(n) => write!(f, "cycle limit {n} reached"),
             SimError::Deadlock { cycle } => write!(f, "no forward progress at cycle {cycle}"),
             SimError::Checkpoint(e) => write!(f, "checkpoint rejected: {e}"),
+            SimError::RobTooLarge { entries } => {
+                write!(f, "a {entries}-entry reorder buffer exceeds the supported 64")
+            }
         }
     }
 }

@@ -28,7 +28,9 @@ pub const MAX_BLOCK_LEN: usize = 64;
 /// Register fields are flat [`crate::Reg::logical`] slots (0–31 integer,
 /// 32–63 FP) with [`NO_REG`] for "none"; sources appear in
 /// [`Instr::sources`] order (for stores: base, then the stored value).
+/// Aligned to 8 bytes so that a copy is one word move, not seven byte moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(8))]
 pub struct InstrMeta {
     /// First source register slot, or [`NO_REG`].
     pub src1: u8,

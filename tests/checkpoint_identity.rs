@@ -20,7 +20,9 @@ use imo_util::ensure_eq;
 use imo_util::snapshot::{self, Snapshot, SnapshotError};
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
-use informing_memops::cpu::{Checkpoint, Outcome, RunLimits, RunResult, SimError, SimSession};
+use informing_memops::cpu::{
+    Checkpoint, OooConfig, Outcome, RunLimits, RunResult, SimError, SimSession,
+};
 use informing_memops::isa::{Asm, BlockCache, Program};
 use informing_memops::obs::Recorder;
 use informing_memops::util::json::{parse, Json};
@@ -275,6 +277,89 @@ fn chained_slices_resume_bit_identically() {
     }
 }
 
+/// A consumer waiting on two producers that have not issued: both loads
+/// need the address a missing load fetches, and the add needs both loads.
+/// Event-driven runs count such waits; the counts are not on the wire, so
+/// resume must rebuild them. Every seventh cycle boundary of the
+/// out-of-order run is a pause point, and some must catch the add with both
+/// loads unissued.
+#[test]
+fn consumer_waiting_on_two_unissued_producers_resumes_identically() {
+    let r = informing_memops::isa::Reg::int;
+    let mut a = Asm::new();
+    a.word(0x40_0000, 0x80_0000);
+    a.li(r(10), 0x40_0000);
+    a.load(r(9), r(10), 0);
+    a.load(r(1), r(9), 0);
+    a.load(r(2), r(9), 64);
+    a.add(r(3), r(1), r(2));
+    a.halt();
+    let p = a.assemble().expect("assembles");
+    let machine = Machine::default_ooo();
+    let baseline = machine.run_limited(&p, RunLimits::default()).expect("uninterrupted run");
+    let mut caught = 0;
+    for stop in (1..baseline.cycles).step_by(7) {
+        let Outcome::Paused(ckpt) = SimSession::new(&p, machine).stop_at(stop).run().expect("runs")
+        else {
+            break;
+        };
+        let (back, wire) = wire_trip(&ckpt);
+        let rob = wire.get("data").and_then(|d| d.get("body")).and_then(|b| b.get("rob"));
+        let waiting: Vec<(u64, Vec<u64>)> = rob
+            .and_then(Json::as_arr)
+            .expect("the body has a ROB")
+            .iter()
+            .filter(|e| snapshot::get_u64(e, "state") == Ok(0))
+            .map(|e| {
+                let seq = snapshot::get_u64(e.get("f").expect("handle"), "seq").expect("seq");
+                let deps = e.get("deps").and_then(Json::as_arr).expect("deps");
+                (seq, deps.iter().map(|d| snapshot::get_u64(d, "seq").expect("seq")).collect())
+            })
+            .collect();
+        let unissued = |seq: &u64| waiting.iter().any(|(s, _)| s == seq);
+        let c = waiting
+            .iter()
+            .any(|(_, deps)| deps.len() == 2 && deps[0] != deps[1] && deps.iter().all(unissued));
+        caught += usize::from(c);
+        let resumed = complete(SimSession::new(&p, machine).resume(&back).expect("resumes"));
+        assert_eq!(resumed, baseline, "pause at {stop}");
+    }
+    assert!(caught > 0, "no pause caught the add waiting on two unissued loads");
+}
+
+/// A `bmiss` reads the cache outcome of the store before it, and a store
+/// can graduate before its outcome cycle once the L1 takes longer than its
+/// one-cycle address generation. A pause falls before that cycle's
+/// graduation, so resume must not bound the `bmiss` past it. Every cycle
+/// boundary is a pause point.
+#[test]
+fn condition_code_consumer_of_a_graduating_store_resumes_identically() {
+    let r = informing_memops::isa::Reg::int;
+    let mut a = Asm::new();
+    let handler = a.label("handler");
+    a.li(r(1), 0x40_0000);
+    for i in 0..6 {
+        a.store(r(1), r(1), i * 8);
+        a.branch_on_miss(handler);
+    }
+    a.halt();
+    a.bind(handler).expect("binds");
+    a.jump_mhrr();
+    let p = a.assemble().expect("assembles");
+    let mut cfg = OooConfig::paper();
+    cfg.hier.l1_latency = 4;
+    let machine = Machine::OutOfOrder(cfg);
+    let baseline = machine.run_limited(&p, RunLimits::default()).expect("uninterrupted run");
+    for stop in 1..baseline.cycles {
+        let Outcome::Paused(ckpt) = SimSession::new(&p, machine).stop_at(stop).run().expect("runs")
+        else {
+            break;
+        };
+        let resumed = complete(SimSession::new(&p, machine).resume(&ckpt).expect("resumes"));
+        assert_eq!(resumed, baseline, "pause at {stop}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Malformed windows: a checkpoint whose reorder buffer or fetch queue the
 // core could not have built is rejected on resume, not simulated.
@@ -497,6 +582,24 @@ fn rob_index_past_the_text_is_rejected() {
         resume_edited(Machine::default_ooo(), |body| index_past_the_text(body, "rob")),
         "idx",
     );
+}
+
+/// A reorder-buffer record with more producers than dispatch records (two
+/// register sources, then one condition-code producer), or one that names
+/// no instruction.
+#[test]
+fn rob_dependency_list_dispatch_could_not_write_is_rejected() {
+    let dep = |kind: u64, seq: u64| {
+        Json::obj([("kind", snapshot::u64_json(kind)), ("seq", snapshot::u64_json(seq))])
+    };
+    for deps in [vec![dep(0, 0); 3], vec![dep(1, 0), dep(0, 1)], vec![dep(0, u64::MAX)]] {
+        assert_bad(
+            resume_edited(Machine::default_ooo(), |body| {
+                *arr_mut(&mut arr_mut(body, "rob")[3], "deps") = deps;
+            }),
+            "deps",
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
